@@ -1,7 +1,7 @@
-//! The unified experiment runner: any subset of the 21 registered
-//! figures/ablations in one process over one shared context. See
-//! `--help` for flags; `mpleo experiments` is the same runner behind the
-//! main CLI.
+//! The experiment runner, and the crate's only binary: any subset of the
+//! registered figures/ablations (`--only <id>` for one) in one process
+//! over one shared context. See `--help` for flags; `mpleo experiments` is
+//! the same runner behind the main CLI.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

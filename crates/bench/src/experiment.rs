@@ -21,8 +21,8 @@ pub const SCHEMA_VERSION: u32 = 1;
 
 /// One experiment of the paper's evaluation (a figure or an ablation).
 pub trait Experiment: Sync {
-    /// Stable identifier (`fig2`, `ablation_isl`, …); also the historical
-    /// binary name and the `results/<id>.json` stem.
+    /// Stable identifier (`fig2`, `ablation_isl`, …); what `--only` takes
+    /// and the `results/<id>.json` stem.
     fn id(&self) -> &'static str;
 
     /// Human title, printed in the banner.

@@ -11,9 +11,9 @@ use crate::expectations::{Comparator, Expectation};
 use crate::experiment::{Experiment, ExperimentResult};
 use crate::experiments::expect;
 use crate::{seeds, Context, Fidelity};
-use leosim::bentpipe::{bentpipe_connectivity, isl_connectivity_from_store};
 use leosim::montecarlo::{run_rng, sample_indices};
 use orbital::ground::GroundSite;
+use traffic::{GraphConfig, RouteTable};
 
 /// See module docs.
 pub struct AblationIsl;
@@ -86,24 +86,23 @@ impl Experiment for AblationIsl {
         let sample = sample_size(fidelity);
         let mut rng = run_rng(seeds::ABLATION_ISL, 0);
         let idx = sample_indices(&mut rng, ctx.pool.len(), sample);
-        // One copied ephemeris slice serves the visibility tables and both
-        // ISL proximity graphs — the pool is propagated once for all rows.
+        // One copied ephemeris slice serves the visibility table and all
+        // three route tables — the pool is propagated once for all rows.
         let store = ctx.subset_ephemeris(&idx);
 
         let vt_t = ctx.subset_table(&idx, &terminal);
-        let vt_g = ctx.subset_table(&idx, &gs);
         let plain: Vec<usize> = (0..idx.len()).collect();
         let visibility = vt_t.coverage_union(&plain, 0).fraction_ones() * 100.0;
 
-        let bp = bentpipe_connectivity(&vt_t, &vt_g)[0].connected.fraction_ones() * 100.0;
-        let isl1 = isl_connectivity_from_store(&store, &terminal, &gs, &ctx.config, 3000.0, 1)[0]
-            .connected
-            .fraction_ones()
-            * 100.0;
-        let isl4 = isl_connectivity_from_store(&store, &terminal, &gs, &ctx.config, 3000.0, 4)[0]
-            .connected
-            .fraction_ones()
-            * 100.0;
+        // Connected at a step ⇔ the step kernel finds a route within the
+        // hop budget (0 hops = the transparent bent pipe).
+        let connectivity_pct = |max_hops: usize| {
+            let graph = GraphConfig { max_hops, isl_range_km: 3000.0, ..GraphConfig::default() };
+            RouteTable::build(&store, &terminal, &gs, &ctx.config, &graph).routability() * 100.0
+        };
+        let bp = connectivity_pct(0);
+        let isl1 = connectivity_pct(1);
+        let isl4 = connectivity_pct(4);
 
         let rows = vec![
             vec!["satellite visibility (upper bound)".into(), format!("{visibility:.2}")],

@@ -9,9 +9,10 @@ use crate::expectations::{Comparator, Expectation};
 use crate::experiment::{Experiment, ExperimentResult};
 use crate::experiments::expect;
 use crate::{seeds, Context, Fidelity};
-use leosim::latency::{bentpipe_latency_from_store, geo_latency_ms};
+use leosim::latency::{geo_latency_ms, LatencySeries};
 use leosim::montecarlo::{run_rng, sample_indices};
 use orbital::ground::GroundSite;
+use traffic::{GraphConfig, RouteTable};
 
 /// See module docs.
 pub struct AblationLatency;
@@ -76,9 +77,16 @@ impl Experiment for AblationLatency {
         let idx = sample_indices(&mut rng, ctx.pool.len(), sample);
         let store = ctx.subset_ephemeris(&idx);
 
-        let terminal = GroundSite::from_degrees("Taipei", 25.03, 121.56);
-        let gs = GroundSite::from_degrees("Kaohsiung-GS", 22.63, 120.30);
-        let series = bentpipe_latency_from_store(&store, &terminal, &gs, &ctx.config);
+        let terminal = [GroundSite::from_degrees("Taipei", 25.03, 121.56)];
+        let gs = [GroundSite::from_degrees("Kaohsiung-GS", 22.63, 120.30)];
+        // Bent pipe = 0 ISL hops: each step's route is the minimum-path
+        // satellite that sees both endpoints.
+        let bent_pipe = GraphConfig { max_hops: 0, ..GraphConfig::default() };
+        let table = RouteTable::build(&store, &terminal, &gs, &ctx.config, &bent_pipe);
+        let series = LatencySeries {
+            delay_ms: table.steps.iter().map(|s| s.routes[0].map(|r| r.latency_ms)).collect(),
+            step_s: store.grid.step_s,
+        };
 
         let mut rows = Vec::new();
         rows.push(vec![

@@ -1,7 +1,7 @@
 //! The concrete experiments: one module per figure/ablation of the
-//! paper's evaluation, each implementing [`crate::experiment::Experiment`].
-//! The historical binaries under `src/bin/` are thin shims over these via
-//! [`crate::runner::main_for`].
+//! paper's evaluation, each implementing [`crate::experiment::Experiment`]
+//! and listed in [`crate::registry`]; [`crate::runner`] is the only way to
+//! run them.
 
 pub mod ablation_bootstrap;
 pub mod ablation_churn_rate;

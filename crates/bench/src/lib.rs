@@ -1,8 +1,9 @@
 //! # mpleo-bench — the experiment harness
 //!
-//! One binary per figure of the paper (`fig1a`, `fig2`, … `fig6`) plus
-//! three ablation studies; each prints the series the paper plots. Run with
-//! `cargo run --release -p mpleo-bench --bin fig2`.
+//! One registered experiment per figure of the paper (`fig1a`, `fig2`, …
+//! `fig6`) plus the ablation and traffic/churn studies (see [`registry`]);
+//! each prints the series the paper plots. One binary runs any subset:
+//! `cargo run --release -p mpleo-bench --bin suite -- --only fig2`.
 //!
 //! Two fidelity levels:
 //!
@@ -11,7 +12,7 @@
 //! * **full** — the paper's settings (1 week, 60 s step, 100 runs), enabled
 //!   by setting `MPLEO_FULL=1`.
 //!
-//! Every binary prints which fidelity it ran and the exact parameters, so
+//! Every run prints which fidelity it ran and the exact parameters, so
 //! EXPERIMENTS.md can record paper-vs-measured unambiguously.
 
 pub mod expectations;

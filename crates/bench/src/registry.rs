@@ -1,7 +1,6 @@
 //! The experiment registry: the single list of every figure/ablation the
-//! harness can run, keyed by stable id. The 25 `src/bin/` shims, the
-//! `suite` binary, and the `mpleo experiments` CLI subcommand all resolve
-//! through here.
+//! harness can run, keyed by stable id. The `suite` binary and the
+//! `mpleo experiments` CLI subcommand both resolve through here.
 
 use crate::experiment::Experiment;
 use crate::experiments::*;
@@ -73,7 +72,7 @@ mod tests {
         assert_eq!(ALL.len(), 25);
         let unique: BTreeSet<&str> = ids().into_iter().collect();
         assert_eq!(unique.len(), 25, "duplicate experiment ids");
-        // Every historical binary name is present.
+        // The ids are a stable interface (`--only <id>`, `results/<id>.json`).
         for id in [
             "fig1a",
             "fig2",

@@ -1,12 +1,14 @@
 //! The experiment runner.
 //!
 //! One process, one shared [`Context`] (and therefore one pool ephemeris
-//! build), any subset of the registry. Three entry points share it:
+//! build), any subset of the registry. Two front ends share it, flag for
+//! flag:
 //!
-//! * the 25 historical binaries, each now a one-line
-//!   [`main_for`]`("fig2")` shim;
 //! * the `suite` binary (`--only`/`--skip`/`--strict`/`--report`, …);
 //! * the `mpleo experiments` CLI subcommand.
+//!
+//! A single experiment is `--only <id>`; there are no per-experiment
+//! binaries.
 //!
 //! Independent experiments fan out on the shared `simrt` worker pool (one
 //! task per experiment; the pool's token budget keeps this outer
@@ -292,24 +294,6 @@ fn print_summary(s: &SuiteSummary) {
         s.warn,
         s.fail
     );
-}
-
-/// Entry point for the 25 historical binaries: run exactly one experiment
-/// (quick fidelity by default, `MPLEO_FULL=1` for the paper's), write its
-/// JSON, and exit non-zero on a hard expectation failure.
-pub fn main_for(id: &str) {
-    let opts = SuiteOptions { only: vec![id.to_string()], ..Default::default() };
-    match run_suite(&opts) {
-        Ok(s) if s.fail > 0 => {
-            eprintln!("{id}: {} paper expectation(s) failed", s.fail);
-            std::process::exit(1);
-        }
-        Ok(_) => {}
-        Err(e) => {
-            eprintln!("{id}: {e}");
-            std::process::exit(2);
-        }
-    }
 }
 
 /// What a parsed `suite` (or `mpleo experiments`) command line asks for.

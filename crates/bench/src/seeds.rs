@@ -3,7 +3,7 @@
 //! Each figure/ablation draws its Monte-Carlo streams from a dedicated
 //! base seed (mixed with the run index by `leosim::montecarlo::run_rng`),
 //! so experiments are reproducible independently and never share a stream.
-//! Seeds used to be magic literals scattered across the 21 binaries; they
+//! Seeds used to be magic literals scattered across the experiments; they
 //! are centralized here with a distinctness test so two experiments can
 //! never silently correlate.
 

@@ -1,5 +1,5 @@
-//! Transparent bent-pipe connectivity (the paper's §3.1 architecture) and
-//! the ISL-relay variant for the §4 ablation.
+//! Brute-force connectivity oracle: the transparent bent pipe (the paper's
+//! §3.1 architecture) and its ISL-relay relaxation (the §4 question).
 //!
 //! In a transparent bent pipe the satellite is a dumb RF repeater: a user
 //! terminal is *connected* at a step only if some satellite simultaneously
@@ -10,82 +10,36 @@
 //! connected if some satellite sees it and that satellite can reach, via up
 //! to `max_hops` satellite-to-satellite hops, a satellite that sees a ground
 //! station. ISL reachability uses a range-limited proximity graph evaluated
-//! per step.
+//! per step; `max_hops = 0` is the bent pipe.
+//!
+//! Production code asks this question of `traffic`'s step kernel
+//! (`RouteTable::build(..).routability()`: connected ⇔ a route exists),
+//! which also yields the path, latency and capacity.
+//! [`isl_connectivity_from_store`] stays as the independent all-pairs scan
+//! that kernel is tested against (`traffic::pipeline` tests) and that the
+//! benchmark times as `leosim.isl_connectivity_s`.
 
 use crate::bitset::TimeBitset;
 use crate::ephemeris::EphemerisStore;
-use crate::timegrid::TimeGrid;
 use crate::visibility::{SimConfig, VisibilityTable};
-use orbital::constellation::Satellite;
 use orbital::ground::GroundSite;
 use serde::{Deserialize, Serialize};
 
-/// Result of a bent-pipe connectivity computation for one terminal.
+/// Result of a connectivity computation for one terminal.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TerminalConnectivity {
     /// Terminal (site) name.
     pub terminal: String,
-    /// Steps where the terminal has an end-to-end bent-pipe path.
+    /// Steps where the terminal has an end-to-end path to a ground station.
     pub connected: TimeBitset,
 }
 
-/// Compute bent-pipe connectivity for each terminal: at a step, terminal `t`
-/// is connected iff there exists a satellite `s` with
-/// `visible(s, t) && visible(s, g)` for some ground station `g`.
-///
-/// `vt_terminals` and `vt_ground` must share the same satellite order and
-/// time grid (compute them from the same satellite slice).
-pub fn bentpipe_connectivity(
-    vt_terminals: &VisibilityTable,
-    vt_ground: &VisibilityTable,
-) -> Vec<TerminalConnectivity> {
-    assert_eq!(vt_terminals.sat_count(), vt_ground.sat_count(), "satellite sets differ");
-    assert_eq!(vt_terminals.grid.steps, vt_ground.grid.steps, "grids differ");
-    let steps = vt_terminals.grid.steps;
-    let gs_indices: Vec<usize> = (0..vt_ground.site_count()).collect();
-    // Per satellite: steps where it can reach any ground station.
-    let sat_to_ground: Vec<TimeBitset> = (0..vt_ground.sat_count())
-        .map(|s| vt_ground.visible_to_any(s, &gs_indices))
-        .collect();
-    (0..vt_terminals.site_count())
-        .map(|t| {
-            let mut connected = TimeBitset::zeros(steps);
-            for (s, stg) in sat_to_ground.iter().enumerate() {
-                let mut link = vt_terminals.bitset(s, t).clone();
-                link.intersect_assign(stg);
-                connected.union_assign(&link);
-            }
-            TerminalConnectivity {
-                terminal: vt_terminals.site_names[t].clone(),
-                connected,
-            }
-        })
-        .collect()
-}
-
-/// ISL-relay connectivity: a terminal is connected at a step iff some
-/// satellite sees it whose ISL-connected component (edges between satellites
-/// closer than `isl_range_km`, up to `max_hops` hops) contains a satellite
-/// that sees a ground station.
-/// Convenience for one-shot callers: builds a throwaway [`EphemerisStore`]
-/// (honoring `config.propagator` and `config.threads`) and delegates to
-/// [`isl_connectivity_from_store`].
-pub fn isl_connectivity(
-    sats: &[Satellite],
-    terminals: &[GroundSite],
-    ground_stations: &[GroundSite],
-    grid: &TimeGrid,
-    config: &SimConfig,
-    isl_range_km: f64,
-    max_hops: usize,
-) -> Vec<TerminalConnectivity> {
-    let store = EphemerisStore::build(sats, grid, config);
-    isl_connectivity_from_store(&store, terminals, ground_stations, config, isl_range_km, max_hops)
-}
-
-/// Propagation-free ISL-relay kernel over a prebuilt [`EphemerisStore`]:
-/// both visibility tables and the per-step proximity graph read positions
-/// straight from the store.
+/// ISL-relay connectivity over a prebuilt [`EphemerisStore`]: a terminal is
+/// connected at a step iff some satellite sees it whose ISL neighbourhood
+/// (edges between satellites closer than `isl_range_km`, up to `max_hops`
+/// hops) contains a satellite that sees a ground station. Both visibility
+/// tables and the per-step proximity graph read positions straight from
+/// the store; every hop is an all-pairs scan.
 pub fn isl_connectivity_from_store(
     store: &EphemerisStore,
     terminals: &[GroundSite],
@@ -150,6 +104,7 @@ pub fn isl_connectivity_from_store(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timegrid::TimeGrid;
     use orbital::constellation::{single_plane, walker_delta, ShellSpec};
     use orbital::time::Epoch;
 
@@ -157,91 +112,51 @@ mod tests {
         Epoch::from_ymdhms(2024, 6, 1, 0, 0, 0.0)
     }
 
-    #[test]
-    fn colocated_gs_equals_plain_visibility() {
-        // If the ground station sits next to the terminal, bent-pipe
-        // connectivity equals plain satellite visibility.
-        let sats = single_plane(6, 550.0, 53.0, epoch());
-        let term = [GroundSite::from_degrees("T", 25.0, 121.5)];
-        let gs = [GroundSite::from_degrees("G", 25.0, 121.5)];
-        let grid = TimeGrid::new(epoch(), 86_400.0, 60.0);
+    fn connected(
+        store: &EphemerisStore,
+        term: (f64, f64),
+        gs: (f64, f64),
+        isl_range_km: f64,
+        max_hops: usize,
+    ) -> TimeBitset {
+        let term = [GroundSite::from_degrees("T", term.0, term.1)];
+        let gs = [GroundSite::from_degrees("G", gs.0, gs.1)];
         let cfg = SimConfig::default();
-        let vt_t = VisibilityTable::compute(&sats, &term, &grid, &cfg);
-        let vt_g = VisibilityTable::compute(&sats, &gs, &grid, &cfg);
-        let conn = bentpipe_connectivity(&vt_t, &vt_g);
-        let idx: Vec<usize> = (0..sats.len()).collect();
-        let plain = vt_t.coverage_unions(&idx).remove(0);
-        assert_eq!(conn[0].connected, plain);
+        isl_connectivity_from_store(store, &term, &gs, &cfg, isl_range_km, max_hops)
+            .remove(0)
+            .connected
     }
 
     #[test]
-    fn distant_gs_reduces_connectivity() {
-        // Ground station on the other side of the world: joint visibility is
-        // impossible, so bent-pipe connectivity is empty.
-        let sats = single_plane(6, 550.0, 53.0, epoch());
-        let term = [GroundSite::from_degrees("T", 25.0, 121.5)];
-        let gs = [GroundSite::from_degrees("G", -25.0, -58.5)];
-        let grid = TimeGrid::new(epoch(), 86_400.0, 60.0);
-        let cfg = SimConfig::default();
-        let vt_t = VisibilityTable::compute(&sats, &term, &grid, &cfg);
-        let vt_g = VisibilityTable::compute(&sats, &gs, &grid, &cfg);
-        let conn = bentpipe_connectivity(&vt_t, &vt_g);
-        assert_eq!(conn[0].connected.count_ones(), 0);
-    }
-
-    #[test]
-    fn nearby_gs_subset_of_visibility() {
+    fn bent_pipe_is_bounded_by_terminal_visibility() {
         let sats = single_plane(8, 550.0, 53.0, epoch());
-        let term = [GroundSite::from_degrees("T", 25.0, 121.5)];
-        let gs = [GroundSite::from_degrees("G", 31.2, 121.5)]; // ~700 km away
         let grid = TimeGrid::new(epoch(), 86_400.0, 60.0);
         let cfg = SimConfig::default();
-        let vt_t = VisibilityTable::compute(&sats, &term, &grid, &cfg);
-        let vt_g = VisibilityTable::compute(&sats, &gs, &grid, &cfg);
-        let conn = bentpipe_connectivity(&vt_t, &vt_g);
+        let store = EphemerisStore::build(&sats, &grid, &cfg);
+        let term = [GroundSite::from_degrees("T", 25.0, 121.5)];
         let idx: Vec<usize> = (0..sats.len()).collect();
-        let plain = vt_t.coverage_unions(&idx).remove(0);
-        // Connectivity <= visibility, pointwise.
-        assert_eq!(conn[0].connected.intersection_count(&plain), conn[0].connected.count_ones());
+        let plain =
+            VisibilityTable::from_store(&store, &term, &cfg).coverage_unions(&idx).remove(0);
+        // Ground station next to the terminal: exactly plain visibility.
+        assert_eq!(connected(&store, (25.0, 121.5), (25.0, 121.5), 5000.0, 0), plain);
+        // ~700 km away: a pointwise subset of it.
+        let near = connected(&store, (25.0, 121.5), (31.2, 121.5), 5000.0, 0);
+        assert_eq!(near.intersection_count(&plain), near.count_ones());
+        // Other side of the world: joint visibility is impossible.
+        assert_eq!(connected(&store, (25.0, 121.5), (-25.0, -58.5), 5000.0, 0).count_ones(), 0);
     }
 
     #[test]
-    fn isl_superset_of_bentpipe() {
-        // With ISLs (generous range), connectivity can only grow relative to
-        // the bent pipe.
-        let spec = ShellSpec {
-            planes: 6,
-            sats_per_plane: 8,
-            ..ShellSpec::starlink_like()
-        };
+    fn hops_only_add_connectivity() {
+        let spec = ShellSpec { planes: 6, sats_per_plane: 8, ..ShellSpec::starlink_like() };
         let sats = walker_delta(&spec, epoch());
-        let term = [GroundSite::from_degrees("T", 25.0, 121.5)];
-        let gs = [GroundSite::from_degrees("G", 40.7, -74.0)];
         let grid = TimeGrid::new(epoch(), 6.0 * 3600.0, 120.0);
-        let cfg = SimConfig::default();
-        let vt_t = VisibilityTable::compute(&sats, &term, &grid, &cfg);
-        let vt_g = VisibilityTable::compute(&sats, &gs, &grid, &cfg);
-        let bp = bentpipe_connectivity(&vt_t, &vt_g);
-        let isl = isl_connectivity(&sats, &term, &gs, &grid, &cfg, 5000.0, 8);
-        // Pointwise superset.
-        assert_eq!(
-            isl[0].connected.intersection_count(&bp[0].connected),
-            bp[0].connected.count_ones()
-        );
-        assert!(isl[0].connected.count_ones() >= bp[0].connected.count_ones());
-    }
-
-    #[test]
-    fn isl_zero_hops_equals_bentpipe() {
-        let sats = single_plane(6, 550.0, 53.0, epoch());
-        let term = [GroundSite::from_degrees("T", 25.0, 121.5)];
-        let gs = [GroundSite::from_degrees("G", 30.0, 115.0)];
-        let grid = TimeGrid::new(epoch(), 6.0 * 3600.0, 120.0);
-        let cfg = SimConfig::default();
-        let vt_t = VisibilityTable::compute(&sats, &term, &grid, &cfg);
-        let vt_g = VisibilityTable::compute(&sats, &gs, &grid, &cfg);
-        let bp = bentpipe_connectivity(&vt_t, &vt_g);
-        let isl0 = isl_connectivity(&sats, &term, &gs, &grid, &cfg, 5000.0, 0);
-        assert_eq!(bp[0].connected, isl0[0].connected);
+        let store = EphemerisStore::build(&sats, &grid, &SimConfig::default());
+        let at = |hops| connected(&store, (25.0, 121.5), (40.7, -74.0), 5000.0, hops);
+        let (bp, isl2, isl8) = (at(0), at(2), at(8));
+        // Pointwise supersets as the hop budget grows.
+        assert_eq!(isl2.intersection_count(&bp), bp.count_ones());
+        assert_eq!(isl8.intersection_count(&isl2), isl2.count_ones());
+        assert!(isl8.count_ones() > bp.count_ones(), "a trans-Pacific station needs relays");
     }
 }

@@ -2,16 +2,12 @@
 //!
 //! The paper dismisses geostationary satellites because their altitude
 //! "leads to orders of magnitude degradation in network latency
-//! (second-level)" (§2). This module computes the actual bent-pipe
-//! propagation delay — terminal → satellite → ground station — over a
-//! simulation grid, picking the best (lowest-delay) visible satellite at
-//! each step, plus the closed-form GEO comparison.
+//! (second-level)" (§2). This module holds the per-step delay series of a
+//! terminal → satellite → ground station path with its statistics, and the
+//! closed-form GEO comparison. The series itself is read off `traffic`'s
+//! routes (`Route::latency_ms` at `max_hops = 0`: the minimum-path
+//! satellite that sees both endpoints carries the traffic).
 
-use crate::ephemeris::EphemerisStore;
-use crate::timegrid::TimeGrid;
-use crate::visibility::SimConfig;
-use orbital::constellation::Satellite;
-use orbital::ground::GroundSite;
 use serde::{Deserialize, Serialize};
 
 /// Speed of light, km/s.
@@ -65,52 +61,6 @@ impl LatencySeries {
     }
 }
 
-/// Compute the bent-pipe one-way latency series: at each step, the best
-/// (minimum path length) satellite visible to *both* the terminal and the
-/// ground station carries the traffic.
-///
-/// Convenience for one-shot callers: builds a throwaway [`EphemerisStore`]
-/// (honoring `config.propagator` and `config.threads`) and delegates to
-/// [`bentpipe_latency_from_store`].
-pub fn bentpipe_latency(
-    sats: &[Satellite],
-    terminal: &GroundSite,
-    ground_station: &GroundSite,
-    grid: &TimeGrid,
-    config: &SimConfig,
-) -> LatencySeries {
-    let store = EphemerisStore::build(sats, grid, config);
-    bentpipe_latency_from_store(&store, terminal, ground_station, config)
-}
-
-/// Propagation-free latency kernel over a prebuilt [`EphemerisStore`].
-pub fn bentpipe_latency_from_store(
-    store: &EphemerisStore,
-    terminal: &GroundSite,
-    ground_station: &GroundSite,
-    config: &SimConfig,
-) -> LatencySeries {
-    let sin_mask = config.sin_mask();
-    let steps = store.steps();
-    let mut delay_ms = Vec::with_capacity(steps);
-    for k in 0..steps {
-        let mut best: Option<f64> = None;
-        for s in 0..store.sat_count() {
-            let ecef = store.position(s, k);
-            if terminal.sees_ecef_sin(ecef, sin_mask) && ground_station.sees_ecef_sin(ecef, sin_mask)
-            {
-                let path_km = terminal.ecef.distance(ecef) + ecef.distance(ground_station.ecef);
-                let d = path_km / C_KM_S * 1000.0;
-                if best.is_none_or(|b| d < b) {
-                    best = Some(d);
-                }
-            }
-        }
-        delay_ms.push(best);
-    }
-    LatencySeries { delay_ms, step_s: store.grid.step_s }
-}
-
 /// One-way bent-pipe delay through a geostationary satellite for endpoints
 /// at the given great-circle distances from the sub-satellite point
 /// (closed form; the paper's §2 comparison baseline).
@@ -130,42 +80,6 @@ pub fn geo_latency_ms(terminal_offset_km: f64, gs_offset_km: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orbital::constellation::single_plane;
-    use orbital::time::Epoch;
-
-    fn epoch() -> Epoch {
-        Epoch::from_ymdhms(2024, 6, 1, 0, 0, 0.0)
-    }
-
-    #[test]
-    fn leo_latency_milliseconds() {
-        let sats = single_plane(12, 550.0, 53.0, epoch());
-        let term = GroundSite::from_degrees("T", 25.0, 121.5);
-        let gs = GroundSite::from_degrees("G", 25.5, 121.0);
-        let grid = TimeGrid::new(epoch(), 86_400.0, 60.0);
-        let series = bentpipe_latency(&sats, &term, &gs, &grid, &SimConfig::default());
-        assert!(series.availability() > 0.0, "some connectivity expected");
-        let mean = series.mean_ms().unwrap();
-        // LEO bent pipe: single-digit milliseconds one way.
-        assert!(mean > 3.0 && mean < 15.0, "mean delay {mean} ms");
-        let p99 = series.percentile_ms(0.99).unwrap();
-        assert!(p99 >= mean, "p99 {p99} >= mean {mean}");
-        assert!(p99 < 20.0, "p99 {p99} ms");
-    }
-
-    #[test]
-    fn delay_bounded_below_by_altitude() {
-        // No path can beat twice the altitude at lightspeed.
-        let sats = single_plane(12, 550.0, 53.0, epoch());
-        let term = GroundSite::from_degrees("T", 25.0, 121.5);
-        let gs = GroundSite::from_degrees("G", 25.0, 121.5);
-        let grid = TimeGrid::new(epoch(), 86_400.0, 60.0);
-        let series = bentpipe_latency(&sats, &term, &gs, &grid, &SimConfig::default());
-        let floor = 2.0 * 550.0 / C_KM_S * 1000.0;
-        for d in series.delay_ms.iter().flatten() {
-            assert!(*d >= floor - 1e-9, "delay {d} below physical floor {floor}");
-        }
-    }
 
     #[test]
     fn geo_latency_is_orders_of_magnitude_worse() {
@@ -213,15 +127,5 @@ mod tests {
         assert_eq!(s.percentile_ms(0.5), Some(6.0));
         // q = 0.75 maps to round(1.5) = 2.
         assert_eq!(s.percentile_ms(0.75), Some(10.0));
-    }
-
-    #[test]
-    fn disconnected_when_gs_far() {
-        let sats = single_plane(4, 550.0, 53.0, epoch());
-        let term = GroundSite::from_degrees("T", 25.0, 121.5);
-        let gs = GroundSite::from_degrees("G", -35.0, -58.0);
-        let grid = TimeGrid::new(epoch(), 6.0 * 3600.0, 120.0);
-        let series = bentpipe_latency(&sats, &term, &gs, &grid, &SimConfig::default());
-        assert_eq!(series.availability(), 0.0);
     }
 }

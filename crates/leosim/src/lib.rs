@@ -25,9 +25,10 @@
 //! 5. [`coverage`] — coverage fraction, gap statistics, and the paper's
 //!    population-weighted coverage-time metric.
 //! 6. [`idle`] — satellite idle-time analysis (Fig. 3).
-//! 7. [`bentpipe`] — transparent bent-pipe connectivity (terminal → satellite
-//!    → ground station joint visibility) and an ISL-relay variant for the
-//!    §4 ablation.
+//! 7. [`bentpipe`] — the brute-force connectivity oracle: transparent
+//!    bent pipe (terminal → satellite → ground station joint visibility) at
+//!    zero hops, ISL relay above. Production routing lives in `traffic`'s
+//!    step kernel, which is tested against it.
 //! 8. [`montecarlo`] — seeded sampling harness for the 100-run averages.
 //!
 //! ## Quick example

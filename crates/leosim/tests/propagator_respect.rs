@@ -1,21 +1,20 @@
 //! Regression tests for the config-plumbing bug fixed by the ephemeris
-//! refactor: `CoverageMap::compute`, `bentpipe_latency`, `isl_connectivity`
-//! and the contact-volume path used to hardcode `KeplerJ2` (and single-
-//! threaded loops), silently ignoring `SimConfig::propagator` and
-//! `SimConfig::threads`. They now all route through `EphemerisStore::build`,
+//! refactor: `CoverageMap::compute`, ISL connectivity and the
+//! contact-volume path used to hardcode `KeplerJ2` (and single-threaded
+//! loops), silently ignoring `SimConfig::propagator` and
+//! `SimConfig::threads`. They now all read an `EphemerisStore::build`,
 //! which honors both. These tests pin that behaviour:
 //!
 //! * SGP4-configured runs must differ from KeplerJ2 runs (the models are
-//!   kilometres apart over a day, far beyond any float noise), and must
-//!   agree exactly with an explicitly SGP4-built store — proving the config
-//!   actually reaches the propagation layer.
+//!   kilometres apart over a day, far beyond any float noise) — proving
+//!   the config actually reaches the propagation layer; one-shot paths must
+//!   agree exactly with an explicitly SGP4-built store.
 //! * Thread count must not change any output bit.
 
-use leosim::bentpipe::{isl_connectivity, isl_connectivity_from_store};
+use leosim::bentpipe::isl_connectivity_from_store;
 use leosim::contacts::{contact_volume_bits_from_store, ContactPlan};
 use leosim::coveragemap::CoverageMap;
 use leosim::ephemeris::EphemerisStore;
-use leosim::latency::{bentpipe_latency, bentpipe_latency_from_store};
 use leosim::visibility::{PropagatorKind, SimConfig, VisibilityTable};
 use leosim::TimeGrid;
 use orbital::constellation::{single_plane, walker_delta, ShellSpec};
@@ -65,37 +64,17 @@ fn coverage_map_respects_configured_propagator() {
 }
 
 #[test]
-fn bentpipe_latency_respects_configured_propagator() {
-    let sats = single_plane(12, 550.0, 53.0, epoch());
-    let term = GroundSite::from_degrees("T", 25.0, 121.5);
-    let gs = GroundSite::from_degrees("G", 25.5, 121.0);
-    let grid = TimeGrid::new(epoch(), 86_400.0, 60.0);
-    let series_kj2 = bentpipe_latency(&sats, &term, &gs, &grid, &kj2());
-    let series_sgp4 = bentpipe_latency(&sats, &term, &gs, &grid, &sgp4());
-    assert!(series_kj2.availability() > 0.0, "test needs some connectivity");
-    // Kilometre-level position differences shift every delay sample.
-    assert_ne!(series_kj2.delay_ms, series_sgp4.delay_ms, "propagator config ignored by latency");
-    let store = EphemerisStore::build(&sats, &grid, &sgp4());
-    let via_store = bentpipe_latency_from_store(&store, &term, &gs, &sgp4());
-    assert_eq!(series_sgp4.delay_ms, via_store.delay_ms);
-}
-
-#[test]
 fn isl_connectivity_respects_configured_propagator() {
     let spec = ShellSpec { planes: 6, sats_per_plane: 8, ..ShellSpec::starlink_like() };
     let sats = walker_delta(&spec, epoch());
     let term = [GroundSite::from_degrees("T", 25.0, 121.5)];
     let gs = [GroundSite::from_degrees("G", 40.7, -74.0)];
     let grid = TimeGrid::new(epoch(), 86_400.0, 60.0);
-    let conn_kj2 = isl_connectivity(&sats, &term, &gs, &grid, &kj2(), 3000.0, 4);
-    let conn_sgp4 = isl_connectivity(&sats, &term, &gs, &grid, &sgp4(), 3000.0, 4);
-    assert_ne!(
-        conn_kj2[0].connected, conn_sgp4[0].connected,
-        "propagator config ignored by isl_connectivity"
-    );
-    let store = EphemerisStore::build(&sats, &grid, &sgp4());
-    let via_store = isl_connectivity_from_store(&store, &term, &gs, &sgp4(), 3000.0, 4);
-    assert_eq!(conn_sgp4[0].connected, via_store[0].connected);
+    let connected = |cfg: &SimConfig| {
+        let store = EphemerisStore::build(&sats, &grid, cfg);
+        isl_connectivity_from_store(&store, &term, &gs, cfg, 3000.0, 4).remove(0).connected
+    };
+    assert_ne!(connected(&kj2()), connected(&sgp4()), "propagator config ignored by ISL path");
 }
 
 #[test]
@@ -126,20 +105,17 @@ fn contact_volume_respects_configured_propagator() {
 #[test]
 fn thread_count_does_not_change_any_consumer_output() {
     let sats = single_plane(9, 550.0, 53.0, epoch());
-    let term = GroundSite::from_degrees("T", 25.0, 121.5);
-    let gs = GroundSite::from_degrees("G", 25.5, 121.0);
+    let term = [GroundSite::from_degrees("T", 25.0, 121.5)];
+    let gs = [GroundSite::from_degrees("G", 25.5, 121.0)];
     let grid = TimeGrid::new(epoch(), 12.0 * 3600.0, 120.0);
     let c1 = SimConfig { threads: 1, ..Default::default() };
     let c4 = SimConfig { threads: 4, ..Default::default() };
     let map1 = CoverageMap::compute(&sats, &grid, &c1.clone().with_mask_deg(10.0), 9, 18);
     let map4 = CoverageMap::compute(&sats, &grid, &c4.clone().with_mask_deg(10.0), 9, 18);
     assert_eq!(map1.cells, map4.cells);
-    let l1 = bentpipe_latency(&sats, &term, &gs, &grid, &c1);
-    let l4 = bentpipe_latency(&sats, &term, &gs, &grid, &c4);
-    assert_eq!(l1.delay_ms, l4.delay_ms);
-    let gs_arr = [gs.clone()];
-    let term_arr = [term.clone()];
-    let i1 = isl_connectivity(&sats, &term_arr, &gs_arr, &grid, &c1, 3000.0, 2);
-    let i4 = isl_connectivity(&sats, &term_arr, &gs_arr, &grid, &c4, 3000.0, 2);
-    assert_eq!(i1[0].connected, i4[0].connected);
+    let isl = |cfg: &SimConfig| {
+        let store = EphemerisStore::build(&sats, &grid, cfg);
+        isl_connectivity_from_store(&store, &term, &gs, cfg, 3000.0, 2).remove(0).connected
+    };
+    assert_eq!(isl(&c1), isl(&c4));
 }

@@ -60,7 +60,6 @@ pub mod placement;
 pub mod registry;
 pub mod robustness;
 pub mod sla;
-pub mod spectrum;
 
 pub use party::{allocate_by_ratio, Party, PartyId, PartyKind};
 pub use registry::ConstellationRegistry;

@@ -53,7 +53,6 @@
 pub mod conjunction;
 pub mod constellation;
 pub mod earth;
-pub mod eclipse;
 pub mod frames;
 pub mod ground;
 pub mod kepler;

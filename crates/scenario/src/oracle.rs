@@ -43,7 +43,6 @@ use leosim::montecarlo::{run_rng, sample_indices};
 use orbital::ground::GroundSite;
 use traffic::allocate::allocate_step;
 use traffic::churn::{roll_states, run_campaign_with_routes, CampaignReport};
-use traffic::demand::DemandMatrix;
 use traffic::graph::{step_routes_reference, RouteTable, StepMask, StepRoutes};
 use traffic::market::party_keys;
 use traffic::pipeline::{StepKernel, StepScratch};
@@ -293,12 +292,7 @@ pub fn check_scenario_with(
     let sites: Vec<GroundSite> = cities.iter().map(|c| c.site()).collect();
 
     // Stage 1: demand, exactly as `run_campaign` scales it.
-    let mut demand = DemandMatrix::generate(cities, &store.grid, &cfg.traffic.demand);
-    if cfg.traffic.demand_scale != 1.0 {
-        for v in &mut demand.offered_mbps {
-            *v *= cfg.traffic.demand_scale;
-        }
-    }
+    let demand = cfg.traffic.demand_matrix(cities, &store.grid);
 
     // Stage 2: baseline routing and the rolled churn states/masks.
     let baseline = RouteTable::build(store, &sites, gateways, sim, &cfg.traffic.graph);

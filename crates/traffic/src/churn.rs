@@ -433,14 +433,8 @@ pub fn run_campaign(
     city_party: &[usize],
     parties: &[PartyId],
 ) -> CampaignReport {
-    assert!(cfg.traffic.demand_scale >= 0.0, "demand scale must be non-negative");
     let sites: Vec<GroundSite> = cities.iter().map(|c| c.site()).collect();
-    let mut demand = DemandMatrix::generate(cities, &store.grid, &cfg.traffic.demand);
-    if cfg.traffic.demand_scale != 1.0 {
-        for v in &mut demand.offered_mbps {
-            *v *= cfg.traffic.demand_scale;
-        }
-    }
+    let demand = cfg.traffic.demand_matrix(cities, &store.grid);
     let routes = RouteTable::build(store, &sites, gateways, sim, &cfg.traffic.graph);
     run_campaign_with_routes(
         store, cities, gateways, sim, &demand, &routes, cfg, sat_party, city_party, parties,

@@ -18,6 +18,7 @@ use geodata::City;
 use leosim::ephemeris::EphemerisStore;
 use leosim::latency::LatencySeries;
 use leosim::visibility::SimConfig;
+use leosim::TimeGrid;
 use mpleo::party::PartyId;
 use orbital::ground::GroundSite;
 use serde::{Deserialize, Serialize};
@@ -46,6 +47,23 @@ impl Default for TrafficConfig {
             gateway_capacity_mbps: 40_000.0,
             demand_scale: 1.0,
         }
+    }
+}
+
+impl TrafficConfig {
+    /// The offered load this configuration puts on `cities` over `grid`:
+    /// the generated diurnal matrix times `demand_scale` (left untouched at
+    /// exactly 1.0, so the default reproduces [`DemandMatrix::generate`]
+    /// bit for bit).
+    pub fn demand_matrix(&self, cities: &[City], grid: &TimeGrid) -> DemandMatrix {
+        assert!(self.demand_scale >= 0.0, "demand scale must be non-negative");
+        let mut demand = DemandMatrix::generate(cities, grid, &self.demand);
+        if self.demand_scale != 1.0 {
+            for v in &mut demand.offered_mbps {
+                *v *= self.demand_scale;
+            }
+        }
+        demand
     }
 }
 
@@ -186,15 +204,9 @@ pub fn run_traffic(
     assert_eq!(sat_party.len(), store.sat_count(), "one owner per satellite");
     assert_eq!(city_party.len(), cities.len(), "one sponsor per city");
     assert!(sat_party.iter().chain(city_party.iter()).all(|&p| p < parties.len()));
-    assert!(cfg.demand_scale >= 0.0, "demand scale must be non-negative");
 
     let sites: Vec<GroundSite> = cities.iter().map(|c| c.site()).collect();
-    let mut demand = DemandMatrix::generate(cities, &store.grid, &cfg.demand);
-    if cfg.demand_scale != 1.0 {
-        for v in &mut demand.offered_mbps {
-            *v *= cfg.demand_scale;
-        }
-    }
+    let demand = cfg.demand_matrix(cities, &store.grid);
     let routes = RouteTable::build(store, &sites, gateways, sim, &cfg.graph);
     run_traffic_with_routes(&demand, &routes, cfg, sat_party, city_party, parties)
 }
@@ -311,7 +323,6 @@ mod tests {
     use super::*;
     use crate::graph::gateways_every_nth;
     use geodata::paper_cities;
-    use leosim::TimeGrid;
     use orbital::constellation::{walker_delta, ShellSpec};
     use orbital::time::Epoch;
 

@@ -7,7 +7,11 @@
 //! [`EphemerisStore`] — no re-propagation — using the same range-limited
 //! ISL proximity rule as [`leosim::bentpipe::isl_connectivity_from_store`],
 //! but tracking actual path length, hop count, and link-budget capacity
-//! instead of a connectivity bit.
+//! instead of a connectivity bit. It is the workspace's one answer to
+//! "which satellite chain connects this terminal to a ground station at
+//! step k?": a terminal is connected iff it has a route, so bent-pipe and
+//! ISL connectivity are [`RouteTable::routability`] at `max_hops` 0 and
+//! above, and bent-pipe latency is [`Route::latency_ms`] at `max_hops = 0`.
 //!
 //! Route selection is deterministic: the minimum-path-length reachable
 //! access satellite wins, ties broken by the lowest satellite row. Steps
@@ -18,7 +22,9 @@
 //! grid-pruned, scratch-reusing [`crate::pipeline::StepKernel`] shared by
 //! [`RouteTable::build`], the traffic engine, and the churn campaign
 //! engine. This module keeps the route/mask types and the brute-force
-//! [`step_routes_reference`] the kernel is property-tested against.
+//! [`step_routes_reference`] the kernel is property-tested against (the
+//! fuzzer's oracle and the benchmark's speedup baseline call it too, so it
+//! stays public).
 
 use crate::pipeline::{StepKernel, StepScratch};
 use leosim::ephemeris::EphemerisStore;
@@ -168,29 +174,6 @@ pub(crate) struct Downlink {
     pub(crate) down_range_km: f64,
 }
 
-/// Routing at step `k` under an availability mask: down satellites vanish
-/// from both the access and relay roles, down gateways from the downlink
-/// candidates, and each terminal's access capacity is scaled by its
-/// degradation factor. Pure per step, so churn campaigns stay
-/// thread-count invariant. Thin wrapper over [`crate::pipeline::StepKernel`]
-/// for one-off calls; loops over many steps should hold a kernel and a
-/// scratch themselves.
-pub fn step_routes_masked(
-    store: &EphemerisStore,
-    terminals: &[GroundSite],
-    gateways: &[GroundSite],
-    sim: &SimConfig,
-    graph: &GraphConfig,
-    k: usize,
-    mask: &StepMask,
-) -> StepRoutes {
-    assert_eq!(mask.sat_ok.len(), store.sat_count(), "one flag per satellite");
-    assert_eq!(mask.gateway_ok.len(), gateways.len(), "one flag per gateway");
-    assert_eq!(mask.terminal_factor.len(), terminals.len(), "one factor per terminal");
-    let kernel = StepKernel::new(store, terminals, gateways, sim, graph);
-    kernel.routes(&mut StepScratch::default(), k, Some(mask))
-}
-
 /// The brute-force reference kernel: all-satellite scans, first-wins
 /// strict-less-than selection in ascending index order. The grid-pruned
 /// [`crate::pipeline::StepKernel`] is required to reproduce this function
@@ -326,6 +309,7 @@ pub fn gateways_every_nth(cities: &[geodata::City], n: usize) -> Vec<GroundSite>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::tests::assert_steps_bit_identical;
     use geodata::paper_cities;
     use leosim::TimeGrid;
     use orbital::constellation::{single_plane, walker_delta, ShellSpec};
@@ -352,10 +336,13 @@ mod tests {
         let table =
             RouteTable::build(&st, &term, &gw, &SimConfig::default(), &GraphConfig::default());
         assert!(table.routability() > 0.0, "a 12-sat plane overhead must route sometimes");
+        // No path can beat twice the altitude at lightspeed.
+        let floor_ms = 2.0 * 550.0 / C_KM_S * 1000.0;
         for s in &table.steps {
             if let Some(r) = &s.routes[0] {
                 assert_eq!(r.hops, 0, "colocated gateway never needs ISL hops");
-                assert!(r.latency_ms > 3.0 && r.latency_ms < 30.0, "latency {}", r.latency_ms);
+                assert!(r.latency_ms >= floor_ms - 1e-9, "latency {} below floor", r.latency_ms);
+                assert!(r.latency_ms < 30.0, "latency {}", r.latency_ms);
                 assert!(r.access_mbps > 100.0, "capacity {}", r.access_mbps);
             }
         }
@@ -371,12 +358,7 @@ mod tests {
         let isl = GraphConfig { max_hops: 6, isl_range_km: 5000.0, ..GraphConfig::default() };
         let t_bent = RouteTable::build(&st, &term, &gw, &sim, &bent);
         let t_isl = RouteTable::build(&st, &term, &gw, &sim, &isl);
-        assert!(
-            t_isl.routability() >= t_bent.routability(),
-            "ISL routes {} must not lose to bent pipe {}",
-            t_isl.routability(),
-            t_bent.routability()
-        );
+        assert_eq!(t_bent.routability(), 0.0, "no satellite sees both sides of the Pacific");
         // Relay routes must actually report hops and longer paths.
         let hops: usize =
             t_isl.steps.iter().flat_map(|s| s.routes.iter().flatten()).map(|r| r.hops).sum();
@@ -393,18 +375,8 @@ mod tests {
         let cfg = GraphConfig::default();
         let a = RouteTable::build(&st, &terms, &gw, &sim, &cfg);
         let b = simrt::with_thread_cap(1, || RouteTable::build(&st, &terms, &gw, &sim, &cfg));
-        for (sa, sb) in a.steps.iter().zip(&b.steps) {
-            for (ra, rb) in sa.routes.iter().zip(&sb.routes) {
-                match (ra, rb) {
-                    (None, None) => {}
-                    (Some(x), Some(y)) => {
-                        assert_eq!(x.sat, y.sat);
-                        assert_eq!(x.path_km.to_bits(), y.path_km.to_bits());
-                        assert_eq!(x.access_mbps.to_bits(), y.access_mbps.to_bits());
-                    }
-                    _ => panic!("route presence differs between thread counts"),
-                }
-            }
+        for (k, (sa, sb)) in a.steps.iter().zip(&b.steps).enumerate() {
+            assert_steps_bit_identical(sa, sb, &format!("thread counts, step {k}"));
         }
     }
 
@@ -419,20 +391,11 @@ mod tests {
         let table = RouteTable::build(&st, &terms, &gw, &sim, &cfg);
         let mask = StepMask::nominal(st.sat_count(), gw.len(), terms.len());
         assert!(mask.is_nominal());
+        let kernel = StepKernel::new(&st, &terms, &gw, &sim, &cfg);
+        let mut scratch = StepScratch::default();
         for (k, unmasked) in table.steps.iter().enumerate() {
-            let masked = step_routes_masked(&st, &terms, &gw, &sim, &cfg, k, &mask);
-            for (a, b) in masked.routes.iter().zip(&unmasked.routes) {
-                match (a, b) {
-                    (None, None) => {}
-                    (Some(x), Some(y)) => {
-                        assert_eq!(x.sat, y.sat);
-                        assert_eq!(x.gateway, y.gateway);
-                        assert_eq!(x.path_km.to_bits(), y.path_km.to_bits());
-                        assert_eq!(x.access_mbps.to_bits(), y.access_mbps.to_bits());
-                    }
-                    _ => panic!("nominal mask changed route presence at step {k}"),
-                }
-            }
+            let masked = kernel.routes(&mut scratch, k, Some(&mask));
+            assert_steps_bit_identical(&masked, unmasked, &format!("nominal mask, step {k}"));
         }
     }
 
@@ -448,9 +411,11 @@ mod tests {
         all_sats_down.sat_ok.fill(false);
         let mut all_gws_down = StepMask::nominal(st.sat_count(), gw.len(), terms.len());
         all_gws_down.gateway_ok.fill(false);
+        let kernel = StepKernel::new(&st, &terms, &gw, &sim, &cfg);
+        let mut scratch = StepScratch::default();
         for k in 0..st.steps() {
             for mask in [&all_sats_down, &all_gws_down] {
-                let routes = step_routes_masked(&st, &terms, &gw, &sim, &cfg, k, mask);
+                let routes = kernel.routes(&mut scratch, k, Some(mask));
                 assert!(routes.routes.iter().all(|r| r.is_none()), "step {k} still routed");
             }
         }
@@ -465,12 +430,14 @@ mod tests {
         let sim = SimConfig::default();
         let cfg = GraphConfig::default();
         let table = RouteTable::build(&st, &terms, &gw, &sim, &cfg);
+        let kernel = StepKernel::new(&st, &terms, &gw, &sim, &cfg);
+        let mut scratch = StepScratch::default();
         let mut exercised = false;
         for (k, step) in table.steps.iter().enumerate() {
             let Some(r) = &step.routes[0] else { continue };
             let mut mask = StepMask::nominal(st.sat_count(), gw.len(), terms.len());
             mask.sat_ok[r.sat] = false;
-            let masked = step_routes_masked(&st, &terms, &gw, &sim, &cfg, k, &mask);
+            let masked = kernel.routes(&mut scratch, k, Some(&mask));
             if let Some(m) = &masked.routes[0] {
                 assert_ne!(m.sat, r.sat, "step {k} kept its failed access satellite");
             }
@@ -490,8 +457,10 @@ mod tests {
         let table = RouteTable::build(&st, &terms, &gw, &sim, &cfg);
         let mut mask = StepMask::nominal(st.sat_count(), gw.len(), terms.len());
         mask.terminal_factor[0] = 0.5;
+        let kernel = StepKernel::new(&st, &terms, &gw, &sim, &cfg);
+        let mut scratch = StepScratch::default();
         for (k, step) in table.steps.iter().enumerate() {
-            let masked = step_routes_masked(&st, &terms, &gw, &sim, &cfg, k, &mask);
+            let masked = kernel.routes(&mut scratch, k, Some(&mask));
             if let (Some(m), Some(u)) = (&masked.routes[0], &step.routes[0]) {
                 // Path selection ignores capacity, so the route is the same
                 // and its capacity is exactly halved.

@@ -532,9 +532,9 @@ impl<'a> StepKernel<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::graph::step_routes_reference;
+    use crate::graph::{step_routes_reference, RouteTable};
     use leosim::TimeGrid;
     use orbital::constellation::{single_plane, walker_delta, ShellSpec};
     use orbital::time::Epoch;
@@ -543,7 +543,7 @@ mod tests {
         Epoch::from_ymdhms(2024, 6, 1, 0, 0, 0.0)
     }
 
-    fn assert_steps_bit_identical(a: &StepRoutes, b: &StepRoutes, ctx: &str) {
+    pub(crate) fn assert_steps_bit_identical(a: &StepRoutes, b: &StepRoutes, ctx: &str) {
         assert_eq!(a.routes.len(), b.routes.len(), "{ctx}: terminal counts differ");
         for (t, (x, y)) in a.routes.iter().zip(&b.routes).enumerate() {
             match (x, y) {
@@ -645,6 +645,83 @@ mod tests {
             &GraphConfig::default(),
             Some(&mask),
         );
+    }
+
+    /// What licenses the experiments to read connectivity and bent-pipe
+    /// latency off kernel routes: on seeded samples of the Starlink pool,
+    /// "a route exists" is leosim's all-pairs ISL oracle bit at every hop
+    /// budget, and the 0-hop latency is a direct joint-visibility min-path
+    /// scan, to the bit.
+    #[test]
+    fn kernel_routes_equal_leosim_connectivity_and_direct_latency_scan() {
+        use leosim::bentpipe::isl_connectivity_from_store;
+        use leosim::montecarlo::{run_rng, sample_indices};
+        let pool = orbital::constellation::starlink_gen1_pool(epoch());
+        let grid = TimeGrid::new(epoch(), 6.0 * 3600.0, 120.0);
+        let sim = SimConfig::default();
+        let sin_mask = sim.sin_mask();
+        let site = |name: &str, lat, lon| GroundSite::from_degrees(name, lat, lon);
+        let scenes = [
+            (
+                vec![site("Tonga", -21.13, -175.2), site("Taipei", 25.03, 121.56)],
+                vec![site("Sydney-GS", -33.87, 151.21), site("Kaohsiung-GS", 22.63, 120.30)],
+            ),
+            (vec![site("Taipei", 25.03, 121.56)], vec![site("New-York-GS", 40.7, -74.0)]),
+        ];
+        let (mut connected, mut disconnected, mut latencies) = (0, 0, 0);
+        for (seed, sample) in [(11, 60), (12, 150), (13, 300)] {
+            let idx = sample_indices(&mut run_rng(seed, 0), pool.len(), sample);
+            let sats: Vec<_> = idx.iter().map(|&i| pool[i].clone()).collect();
+            let store = EphemerisStore::build(&sats, &grid, &sim);
+            for (terminals, gateways) in &scenes {
+                for max_hops in [0, 1, 4] {
+                    let graph = GraphConfig { max_hops, ..GraphConfig::default() };
+                    let table = RouteTable::build(&store, terminals, gateways, &sim, &graph);
+                    let oracle = isl_connectivity_from_store(
+                        &store,
+                        terminals,
+                        gateways,
+                        &sim,
+                        graph.isl_range_km,
+                        max_hops,
+                    );
+                    for (k, step) in table.steps.iter().enumerate() {
+                        for (t, route) in step.routes.iter().enumerate() {
+                            let bit = oracle[t].connected.get(k);
+                            assert_eq!(
+                                route.is_some(),
+                                bit,
+                                "seed {seed} hops {max_hops} step {k} terminal {t}"
+                            );
+                            connected += bit as usize;
+                            disconnected += !bit as usize;
+                            if max_hops > 0 {
+                                continue;
+                            }
+                            let term = &terminals[t];
+                            let scan = (0..store.sat_count())
+                                .map(|s| store.position(s, k))
+                                .filter(|&p| term.sees_ecef_sin(p, sin_mask))
+                                .flat_map(|p| {
+                                    gateways
+                                        .iter()
+                                        .filter(move |g| g.sees_ecef_sin(p, sin_mask))
+                                        .map(move |g| term.ecef.distance(p) + p.distance(g.ecef))
+                                })
+                                .min_by(f64::total_cmp)
+                                .map(|path_km| path_km / C_KM_S * 1000.0);
+                            assert_eq!(
+                                route.map(|r| r.latency_ms.to_bits()),
+                                scan.map(f64::to_bits),
+                                "seed {seed} step {k} terminal {t}: {route:?} vs {scan:?}"
+                            );
+                            latencies += scan.is_some() as usize;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(connected > 100 && disconnected > 100 && latencies > 100, "vacuous scenes");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 
 use leosim::coverage::CoverageStats;
 use leosim::dtn::{dtn_stats, simulate_dtn};
-use leosim::latency::{bentpipe_latency, geo_latency_ms};
+use leosim::ephemeris::EphemerisStore;
+use leosim::latency::geo_latency_ms;
 use leosim::visibility::{SimConfig, VisibilityTable};
 use leosim::TimeGrid;
 use mpleo::failures::{simulate_failures, FailureModel};
@@ -14,6 +15,7 @@ use orbital::constellation::{starlink_gen1_pool, walker_delta, ShellSpec};
 use orbital::ground::GroundSite;
 use orbital::maneuver;
 use orbital::time::Epoch;
+use traffic::{GraphConfig, RouteTable};
 
 fn epoch() -> Epoch {
     Epoch::from_ymdhms(2024, 6, 1, 0, 0, 0.0)
@@ -46,13 +48,17 @@ fn scenario() -> Scenario {
 #[test]
 fn latency_beats_geo_whenever_connected() {
     let sc = scenario();
-    let term = GroundSite::from_degrees("Taipei", 25.03, 121.56);
-    let gs = GroundSite::from_degrees("Kaohsiung-GS", 22.63, 120.30);
-    let series = bentpipe_latency(&sc.sats, &term, &gs, &sc.grid, &SimConfig::default());
-    assert!(series.availability() > 0.3, "availability {}", series.availability());
+    let term = [GroundSite::from_degrees("Taipei", 25.03, 121.56)];
+    let gs = [GroundSite::from_degrees("Kaohsiung-GS", 22.63, 120.30)];
+    let cfg = SimConfig::default();
+    let store = EphemerisStore::build(&sc.sats, &sc.grid, &cfg);
+    let bent_pipe = GraphConfig { max_hops: 0, ..GraphConfig::default() };
+    let table = RouteTable::build(&store, &term, &gs, &cfg, &bent_pipe);
+    assert!(table.routability() > 0.3, "availability {}", table.routability());
     let geo = geo_latency_ms(500.0, 500.0);
-    for d in series.delay_ms.iter().flatten() {
-        assert!(*d < geo / 10.0, "LEO delay {d} ms should be >10x below GEO {geo} ms");
+    for r in table.steps.iter().filter_map(|s| s.routes[0]) {
+        let d = r.latency_ms;
+        assert!(d < geo / 10.0, "LEO delay {d} ms should be >10x below GEO {geo} ms");
     }
 }
 
