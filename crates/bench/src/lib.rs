@@ -31,7 +31,6 @@ use orbital::constellation::{starlink_gen1_pool, Satellite};
 use orbital::ground::GroundSite;
 use orbital::time::Epoch;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -210,15 +209,11 @@ impl Context {
 
     /// The pool-wide ephemeris store: propagate the ~4.4k-satellite pool
     /// over the grid exactly once per process and reuse it for every table,
-    /// mask, sample and figure. When the `MPLEO_EPHEMERIS_CACHE` environment
-    /// variable (or `--ephemeris-cache` in the CLI) names a file, the store
-    /// is also cached there across processes, keyed by
-    /// (pool hash, grid, propagator).
+    /// mask, sample and figure.
     pub fn pool_ephemeris(&self) -> &EphemerisStore {
         self.ephemeris.get_or_init(|| {
             EPHEMERIS_BUILDS.fetch_add(1, Ordering::SeqCst);
-            let cache = ephemeris_cache_from_env();
-            EphemerisStore::load_or_build(&self.pool, &self.grid, &self.config, cache.as_deref())
+            EphemerisStore::build(&self.pool, &self.grid, &self.config)
         })
     }
 
@@ -274,19 +269,13 @@ impl Context {
     }
 }
 
-/// The ephemeris disk-cache path configured via `MPLEO_EPHEMERIS_CACHE`
-/// (empty value = disabled).
-pub fn ephemeris_cache_from_env() -> Option<PathBuf> {
-    std::env::var_os("MPLEO_EPHEMERIS_CACHE").filter(|v| !v.is_empty()).map(PathBuf::from)
-}
-
 /// Count of pool-wide ephemeris builds performed by [`Context`]s in this
 /// process; the suite runner's one-build-per-process guarantee is asserted
 /// against it.
 static EPHEMERIS_BUILDS: AtomicUsize = AtomicUsize::new(0);
 
-/// How many times any [`Context`] in this process has built (or loaded)
-/// the pool-wide ephemeris.
+/// How many times any [`Context`] in this process has built the pool-wide
+/// ephemeris.
 pub fn ephemeris_build_count() -> usize {
     EPHEMERIS_BUILDS.load(Ordering::SeqCst)
 }

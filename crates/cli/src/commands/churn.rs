@@ -1,8 +1,9 @@
 //! The `churn` command: a timed failure/withdrawal campaign over the
 //! traffic stack with graceful-degradation and market summaries.
 
-use super::common::{configure_threads, epoch, sampled_store, CmdResult};
+use super::common::{configure_threads, epoch, sampled_sats, CmdResult};
 use crate::args::Args;
+use leosim::ephemeris::EphemerisStore;
 use leosim::visibility::SimConfig;
 use leosim::TimeGrid;
 use orbital::time::format_duration;
@@ -24,7 +25,6 @@ pub fn churn(args: &Args) -> CmdResult {
         "withdraw",
         "scale",
         "mask",
-        "ephemeris-cache",
         "threads",
     ])?;
     configure_threads(args)?;
@@ -64,7 +64,7 @@ pub fn churn(args: &Args) -> CmdResult {
 
     let grid = TimeGrid::new(epoch(), hours * 3600.0, step);
     let cfg = SimConfig::default().with_mask_deg(mask);
-    let store = sampled_store(args, 0xC15, sats_n, &grid, &cfg)?;
+    let store = EphemerisStore::build(&sampled_sats(0xC15, sats_n)?, &grid, &cfg);
     let steps = store.steps();
 
     let cities = geodata::paper_cities();

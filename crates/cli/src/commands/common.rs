@@ -1,16 +1,14 @@
 //! Helpers shared by the subcommand modules: the common epoch, the
-//! `--threads` and `--ephemeris-cache` flags, and the sampled-pool scene
-//! builders used by every command that simulates the shared constellation.
+//! `--threads` flag, and the sampled-pool scene builders used by every
+//! command that simulates the shared constellation.
 
 use crate::args::Args;
-use leosim::ephemeris::EphemerisStore;
 use leosim::montecarlo::{run_rng, sample_indices};
 use leosim::visibility::{SimConfig, VisibilityTable};
 use leosim::TimeGrid;
-use orbital::constellation::starlink_gen1_pool;
+use orbital::constellation::{starlink_gen1_pool, Satellite};
 use orbital::ground::GroundSite;
 use orbital::time::Epoch;
-use std::path::PathBuf;
 
 pub(crate) type CmdResult = Result<(), Box<dyn std::error::Error>>;
 
@@ -29,14 +27,18 @@ pub(crate) fn configure_threads(args: &Args) -> Result<(), Box<dyn std::error::E
     Ok(())
 }
 
-/// The `--ephemeris-cache <path>` flag (also honored via the
-/// `MPLEO_EPHEMERIS_CACHE` environment variable; empty = disabled).
-pub(crate) fn ephemeris_cache(args: &Args) -> Option<PathBuf> {
-    let flag = args.get_str("ephemeris-cache", "");
-    if !flag.is_empty() {
-        return Some(PathBuf::from(flag));
+/// Shared: a seeded `sats_n`-satellite sample of the Starlink-like pool.
+pub(crate) fn sampled_sats(
+    seed: u64,
+    sats_n: usize,
+) -> Result<Vec<Satellite>, Box<dyn std::error::Error>> {
+    let pool = starlink_gen1_pool(epoch());
+    if sats_n > pool.len() {
+        return Err(format!("--sats {} exceeds the pool of {}", sats_n, pool.len()).into());
     }
-    std::env::var_os("MPLEO_EPHEMERIS_CACHE").filter(|v| !v.is_empty()).map(PathBuf::from)
+    let mut rng = run_rng(seed, 0);
+    let idx = sample_indices(&mut rng, pool.len(), sats_n);
+    Ok(idx.iter().map(|&i| pool[i].clone()).collect())
 }
 
 /// Shared: build a sampled pool visibility table for one site.
@@ -49,53 +51,10 @@ pub(crate) fn site_table(
     let days = args.get_f64("days", 1.0)?;
     let step = args.get_f64("step", 60.0)?;
     let mask = args.get_f64("mask", 25.0)?;
-    let pool = starlink_gen1_pool(epoch());
-    if sats_n > pool.len() {
-        return Err(format!("--sats {} exceeds the pool of {}", sats_n, pool.len()).into());
-    }
-    let mut rng = run_rng(0xC11, 0);
-    let idx = sample_indices(&mut rng, pool.len(), sats_n);
+    let sats = sampled_sats(0xC11, sats_n)?;
     let site = [GroundSite::from_degrees("site", lat, lon)];
     let grid = TimeGrid::new(epoch(), days * 86_400.0, step);
     let cfg = SimConfig::default().with_mask_deg(mask);
-    let vt = match ephemeris_cache(args) {
-        // With a cache file: propagate (or load) the whole pool once and
-        // slice the sampled rows out of it; repeated invocations with the
-        // same grid then skip propagation entirely.
-        Some(path) => {
-            let store = EphemerisStore::load_or_build(&pool, &grid, &cfg, Some(&path));
-            VisibilityTable::from_store_subset(&store, &idx, &site, &cfg)
-        }
-        // Without one, propagating just the sample is cheaper.
-        None => {
-            let sats: Vec<_> = idx.iter().map(|&i| pool[i].clone()).collect();
-            VisibilityTable::compute(&sats, &site, &grid, &cfg)
-        }
-    };
+    let vt = VisibilityTable::compute(&sats, &site, &grid, &cfg);
     Ok((vt, sats_n))
-}
-
-/// Shared: an ephemeris store over a seeded `sats_n`-satellite sample of
-/// the Starlink-like pool, going through the on-disk cache when the flag
-/// (or `MPLEO_EPHEMERIS_CACHE`) is set.
-pub(crate) fn sampled_store(
-    args: &Args,
-    seed: u64,
-    sats_n: usize,
-    grid: &TimeGrid,
-    cfg: &SimConfig,
-) -> Result<EphemerisStore, Box<dyn std::error::Error>> {
-    let pool = starlink_gen1_pool(epoch());
-    if sats_n > pool.len() {
-        return Err(format!("--sats {} exceeds the pool of {}", sats_n, pool.len()).into());
-    }
-    let mut rng = run_rng(seed, 0);
-    let idx = sample_indices(&mut rng, pool.len(), sats_n);
-    Ok(match ephemeris_cache(args) {
-        Some(path) => EphemerisStore::load_or_build(&pool, grid, cfg, Some(&path)).select(&idx),
-        None => {
-            let sats: Vec<_> = idx.iter().map(|&i| pool[i].clone()).collect();
-            EphemerisStore::build(&sats, grid, cfg)
-        }
-    })
 }

@@ -1,14 +1,11 @@
 //! Coverage-reporting commands: `coverage` (point and region), `sla`,
 //! and the ASCII `map`.
 
-use super::common::{configure_threads, ephemeris_cache, epoch, site_table, CmdResult};
+use super::common::{configure_threads, epoch, sampled_sats, site_table, CmdResult};
 use crate::args::Args;
 use leosim::coverage::CoverageStats;
-use leosim::ephemeris::EphemerisStore;
-use leosim::montecarlo::{run_rng, sample_indices};
 use leosim::visibility::SimConfig;
 use leosim::TimeGrid;
-use orbital::constellation::starlink_gen1_pool;
 use orbital::time::format_duration;
 
 /// `mpleo coverage` — coverage statistics for a point or named region.
@@ -21,7 +18,6 @@ pub fn coverage(args: &Args) -> CmdResult {
         "step",
         "mask",
         "region",
-        "ephemeris-cache",
         "threads",
     ])?;
     configure_threads(args)?;
@@ -56,16 +52,7 @@ fn coverage_region(args: &Args, name: &str) -> CmdResult {
     let days = args.get_f64("days", 1.0)?;
     let step = args.get_f64("step", 120.0)?;
     let mask = args.get_f64("mask", 25.0)?;
-    let pool = starlink_gen1_pool(epoch());
-    if sats_n > pool.len() {
-        return Err(format!("--sats {} exceeds the pool of {}", sats_n, pool.len()).into());
-    }
-    if ephemeris_cache(args).is_some() {
-        eprintln!("note: --ephemeris-cache is not used on the regional path (per-receiver grids)");
-    }
-    let mut rng = run_rng(0xC13, 0);
-    let idx = sample_indices(&mut rng, pool.len(), sats_n);
-    let sats: Vec<_> = idx.iter().map(|&i| pool[i].clone()).collect();
+    let sats = sampled_sats(0xC13, sats_n)?;
     let grid = TimeGrid::new(epoch(), days * 86_400.0, step);
     let cfg = SimConfig::default().with_mask_deg(mask);
     let rc = leosim::region::region_coverage(&sats, &region, 3, &grid, &cfg);
@@ -90,7 +77,6 @@ pub fn sla(args: &Args) -> CmdResult {
         "days",
         "step",
         "mask",
-        "ephemeris-cache",
         "threads",
     ])?;
     configure_threads(args)?;
@@ -119,32 +105,17 @@ pub fn sla(args: &Args) -> CmdResult {
 
 /// `mpleo map` — ASCII world coverage map.
 pub fn map(args: &Args) -> CmdResult {
-    args.expect_only(&["sats", "hours", "mask", "rows", "cols", "ephemeris-cache", "threads"])?;
+    args.expect_only(&["sats", "hours", "mask", "rows", "cols", "threads"])?;
     configure_threads(args)?;
     let sats_n = args.get_usize("sats", 200)?;
     let hours = args.get_f64("hours", 12.0)?;
     let mask = args.get_f64("mask", 25.0)?;
     let rows = args.get_usize("rows", 18)?;
     let cols = args.get_usize("cols", 72)?;
-    let pool = starlink_gen1_pool(epoch());
-    if sats_n > pool.len() {
-        return Err(format!("--sats {} exceeds the pool of {}", sats_n, pool.len()).into());
-    }
-    let mut rng = run_rng(0xC12, 0);
-    let idx = sample_indices(&mut rng, pool.len(), sats_n);
+    let sats = sampled_sats(0xC12, sats_n)?;
     let grid = TimeGrid::new(epoch(), hours * 3600.0, 600.0);
     let cfg = SimConfig::default().with_mask_deg(mask);
-    let map = match ephemeris_cache(args) {
-        Some(path) => {
-            let store = EphemerisStore::load_or_build(&pool, &grid, &cfg, Some(&path));
-            let sub = store.select(&idx);
-            leosim::coveragemap::CoverageMap::compute_from_store(&sub, &cfg, rows, cols)
-        }
-        None => {
-            let sats: Vec<_> = idx.iter().map(|&i| pool[i].clone()).collect();
-            leosim::coveragemap::CoverageMap::compute(&sats, &grid, &cfg, rows, cols)
-        }
-    };
+    let map = leosim::coveragemap::CoverageMap::compute(&sats, &grid, &cfg, rows, cols);
     println!("coverage fraction, {sats_n} satellites, {hours:.0} h horizon, {mask:.0} deg mask");
     println!("(darker = better covered; right margin = row latitude)\n");
     print!("{}", map.ascii());

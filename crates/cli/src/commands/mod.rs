@@ -97,20 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn ephemeris_cache_flag_writes_then_loads() {
-        let path = std::env::temp_dir().join("mpleo-cli-ephemeris-test.eph");
-        let _ = std::fs::remove_file(&path);
-        let cmd = format!(
-            "coverage --sats 40 --days 0.25 --step 300 --ephemeris-cache {}",
-            path.display()
-        );
-        assert!(coverage(&argv(&cmd)).is_ok());
-        assert!(path.exists(), "first run must write the cache file");
-        assert!(coverage(&argv(&cmd)).is_ok(), "second run must load the cache");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn map_runs_small() {
         assert!(map(&argv("map --sats 30 --hours 2 --rows 8 --cols 16")).is_ok());
         assert!(map(&argv("map --bogus 1")).is_err());

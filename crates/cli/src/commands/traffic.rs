@@ -1,8 +1,9 @@
 //! The `traffic` command: route diurnal metro demand over a shared
 //! constellation sample and summarize service plus the capacity market.
 
-use super::common::{configure_threads, epoch, sampled_store, CmdResult};
+use super::common::{configure_threads, epoch, sampled_sats, CmdResult};
 use crate::args::Args;
+use leosim::ephemeris::EphemerisStore;
 use leosim::visibility::SimConfig;
 use leosim::TimeGrid;
 use orbital::time::format_duration;
@@ -25,7 +26,6 @@ pub fn traffic(args: &Args) -> CmdResult {
         "max-hops",
         "scale",
         "mask",
-        "ephemeris-cache",
         "threads",
     ])?;
     configure_threads(args)?;
@@ -50,7 +50,7 @@ pub fn traffic(args: &Args) -> CmdResult {
 
     let grid = TimeGrid::new(epoch(), hours * 3600.0, step);
     let cfg = SimConfig::default().with_mask_deg(mask);
-    let store = sampled_store(args, 0xC14, sats_n, &grid, &cfg)?;
+    let store = EphemerisStore::build(&sampled_sats(0xC14, sats_n)?, &grid, &cfg);
 
     let cities = geodata::paper_cities();
     let gateways = traffic_crate::gateways_every_nth(&cities, stride);

@@ -82,7 +82,6 @@ COMMANDS:
                 --lat DEG --lon DEG (default Taipei)
                 --region taiwan|ukraine|korea (overrides lat/lon)
                 --sats N (500) --days D (1) --step S (60) --mask DEG (25)
-                --ephemeris-cache PATH (reuse pool ephemerides on disk)
                 --threads N (0 = auto)
     plan      suggest gap-filling orbital slots for a new contribution
                 --contribute K (3) --base N (40) --days D (1)
@@ -92,7 +91,6 @@ COMMANDS:
                 --threshold KM (10)
     sla       quote the sellable service tier for a point
                 --lat DEG --lon DEG --sats N (500) --days D (1)
-                --ephemeris-cache PATH (reuse pool ephemerides on disk)
                 --threads N (0 = auto)
     cities    print the embedded 21-city dataset
     traffic   route diurnal metro demand over a shared constellation
@@ -100,19 +98,16 @@ COMMANDS:
                 --parties P (3) --gateway-stride K (3)
                 --isl-range KM (3000) --max-hops N (1) --scale F (1)
                 --mask DEG (25)
-                --ephemeris-cache PATH (reuse pool ephemerides on disk)
                 --threads N (0 = auto)
     churn     run a timed failure/withdrawal campaign over the traffic stack
                 --sats N (300) --hours H (12) --step S (600)
                 --parties P (3) --gateway-stride K (3)
                 --fail-fraction F (0.1) --withdraw IDX|none (1)
                 --scale F (1) --mask DEG (25)
-                --ephemeris-cache PATH (reuse pool ephemerides on disk)
                 --threads N (0 = auto)
     map       ASCII world map of coverage fraction
                 --sats N (200) --hours H (12) --mask DEG (25)
                 --rows R (18) --cols C (72)
-                --ephemeris-cache PATH (reuse pool ephemerides on disk)
                 --threads N (0 = auto)
     audit     fit an orbit from synthetic ranging and audit a publication
                 --forge-raan DEG (0 = honest publication)

@@ -51,8 +51,7 @@ impl CoverageMap {
     /// with at least one satellite above the mask.
     ///
     /// Convenience for one-shot callers: builds a throwaway
-    /// [`EphemerisStore`] (honoring `config.propagator` and
-    /// `config.threads`) and delegates to
+    /// [`EphemerisStore`] (honoring `config.propagator`) and delegates to
     /// [`CoverageMap::compute_from_store`].
     pub fn compute(
         sats: &[Satellite],

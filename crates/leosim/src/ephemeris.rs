@@ -3,23 +3,25 @@
 //! Every experiment in the paper's evaluation starts from the same expensive
 //! step — propagate a Starlink-scale pool over a time grid. Before this layer
 //! existed, that step was re-implemented (and re-run) independently by the
-//! visibility engine, the coverage map, the latency model, the ISL relay and
-//! the contact-volume estimator; sweeps such as the elevation-mask ablation
-//! paid it once *per mask* even though positions do not depend on the mask.
+//! visibility engine, the coverage map, the latency model and the ISL relay;
+//! sweeps such as the elevation-mask ablation paid it once *per mask* even
+//! though positions do not depend on the mask.
 //!
 //! [`EphemerisStore`] materializes the positions exactly once, in a columnar
 //! (structure-of-arrays) table of ECEF coordinates: `x`, `y`, `z` are flat
 //! `Vec<f64>` indexed `[sat * steps + k]`, so one satellite's trajectory is a
 //! contiguous cache-friendly row. The build is partitioned across threads by
-//! satellite (on the shared `simrt` worker pool, honoring
-//! `SimConfig::threads`) and respects `SimConfig::propagator`. Downstream consumers — the visibility
-//! kernel, the coverage map, bent-pipe latency, ISL relays — are pure
-//! geometry over the store.
+//! satellite (on the shared `simrt` worker pool) and respects
+//! `SimConfig::propagator`. Downstream consumers — the visibility kernel,
+//! the coverage map, the routing step kernel, ISL relays — are pure geometry
+//! over the store.
 //!
-//! The store is serde-serializable and additionally ships a compact binary
-//! disk format so the bench harness can cache it across processes, keyed by
-//! (pool hash, grid, propagator). Positions are stored as raw `f64` bits, so
-//! a cache hit is bit-identical to a fresh build.
+//! A store comes into existence in exactly two ways: [`EphemerisStore::build`]
+//! propagates a pool, and [`EphemerisStore::select`] copies rows out of a
+//! built one. Satellite rows are independent, so "build the pool, select a
+//! sample" and "build the sample" give the same bits. There is no disk
+//! format: a fresh build of the full pool costs about as much as reading the
+//! same bytes back (numbers in DESIGN.md).
 //!
 //! Memory: `sats * steps * 3 * 8` bytes — ~150 MB for the full 4.4k-satellite
 //! pool at the quick fidelity (2 days / 120 s), ~1 GB at the paper's full
@@ -31,14 +33,8 @@ use crate::visibility::{PropagatorKind, SimConfig};
 use orbital::constellation::Satellite;
 use orbital::frames::eci_to_ecef;
 use orbital::propagator::{KeplerJ2, Propagator, Sgp4};
-use orbital::time::Epoch;
 use orbital::Vec3;
 use serde::{Deserialize, Serialize};
-use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::path::Path;
-
-/// Magic + version prefix of the binary cache format.
-const CACHE_MAGIC: &[u8; 8] = b"MPLEPH01";
 
 /// A columnar table of ECEF positions for a satellite pool over a time grid.
 ///
@@ -53,8 +49,6 @@ pub struct EphemerisStore {
     pub sat_ids: Vec<u32>,
     /// The propagator model that produced the positions.
     pub propagator: PropagatorKind,
-    /// Hash of the source pool (elements + epochs); part of the cache key.
-    pub pool_hash: u64,
     x: Vec<f64>,
     y: Vec<f64>,
     z: Vec<f64>,
@@ -66,7 +60,7 @@ type ChunkJob<'a> = (&'a [Satellite], &'a mut [f64], &'a mut [f64], &'a mut [f64
 impl EphemerisStore {
     /// Propagate `sats` over `grid` and materialize the columnar table.
     ///
-    /// Work is partitioned across `config.threads` workers by satellite;
+    /// Work is partitioned across [`simrt::threads`] workers by satellite;
     /// the model is `config.propagator`. Positions are identical, bit for
     /// bit, to calling `Propagator::position_at` per step and rotating with
     /// the grid's precomputed GMST.
@@ -76,7 +70,7 @@ impl EphemerisStore {
         let mut x = vec![0.0f64; n * steps];
         let mut y = vec![0.0f64; n * steps];
         let mut z = vec![0.0f64; n * steps];
-        let threads = config.thread_count().max(1).min(n.max(1));
+        let threads = simrt::threads().max(1).min(n.max(1));
         let chunk = n.div_ceil(threads).max(1);
         // Pre-split the columns into per-chunk jobs, then run the jobs on
         // the shared simrt pool. The partitioning (and hence every floating
@@ -118,7 +112,6 @@ impl EphemerisStore {
             grid: grid.clone(),
             sat_ids: sats.iter().map(|s| s.id).collect(),
             propagator: config.propagator,
-            pool_hash: hash_pool(sats),
             x,
             y,
             z,
@@ -178,132 +171,14 @@ impl EphemerisStore {
             y.extend_from_slice(&self.y[lo..lo + steps]);
             z.extend_from_slice(&self.z[lo..lo + steps]);
         }
-        let mut h = self.pool_hash;
-        fnv_u64(&mut h, indices.len() as u64);
-        for &s in indices {
-            fnv_u64(&mut h, s as u64);
-        }
         EphemerisStore {
             grid: self.grid.clone(),
             sat_ids: indices.iter().map(|&s| self.sat_ids[s]).collect(),
             propagator: self.propagator,
-            pool_hash: h,
             x,
             y,
             z,
         }
-    }
-
-    /// Whether this store was built from exactly this pool, grid, and
-    /// propagator (the cache-validity predicate).
-    pub fn matches(&self, sats: &[Satellite], grid: &TimeGrid, config: &SimConfig) -> bool {
-        let (a_jdm, a_sod) = self.grid.start.jd_parts();
-        let (b_jdm, b_sod) = grid.start.jd_parts();
-        self.pool_hash == hash_pool(sats)
-            && self.propagator == config.propagator
-            && self.grid.steps == grid.steps
-            && self.grid.step_s.to_bits() == grid.step_s.to_bits()
-            && a_jdm.to_bits() == b_jdm.to_bits()
-            && a_sod.to_bits() == b_sod.to_bits()
-    }
-
-    /// Load the store from `cache` when present and valid for (pool, grid,
-    /// propagator); otherwise build it and (best-effort) write the cache.
-    pub fn load_or_build(
-        sats: &[Satellite],
-        grid: &TimeGrid,
-        config: &SimConfig,
-        cache: Option<&Path>,
-    ) -> EphemerisStore {
-        if let Some(path) = cache {
-            match Self::load(path) {
-                Ok(store) if store.matches(sats, grid, config) => return store,
-                Ok(_) => eprintln!(
-                    "ephemeris cache {} is for a different (pool, grid, propagator); rebuilding",
-                    path.display()
-                ),
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => eprintln!("ephemeris cache {} unreadable ({e}); rebuilding", path.display()),
-            }
-        }
-        let store = Self::build(sats, grid, config);
-        if let Some(path) = cache {
-            if let Err(e) = store.save(path) {
-                eprintln!("warning: could not write ephemeris cache {}: {e}", path.display());
-            }
-        }
-        store
-    }
-
-    /// Write the store to `path` in the compact binary cache format
-    /// (positions as raw little-endian `f64` bits; bit-exact round trip).
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        let mut w = BufWriter::new(std::fs::File::create(path)?);
-        w.write_all(CACHE_MAGIC)?;
-        w.write_all(&self.pool_hash.to_le_bytes())?;
-        w.write_all(&[match self.propagator {
-            PropagatorKind::KeplerJ2 => 0u8,
-            PropagatorKind::Sgp4 => 1u8,
-        }])?;
-        w.write_all(&(self.sat_ids.len() as u64).to_le_bytes())?;
-        w.write_all(&(self.grid.steps as u64).to_le_bytes())?;
-        w.write_all(&self.grid.step_s.to_le_bytes())?;
-        let (jdm, sod) = self.grid.start.jd_parts();
-        w.write_all(&jdm.to_le_bytes())?;
-        w.write_all(&sod.to_le_bytes())?;
-        for id in &self.sat_ids {
-            w.write_all(&id.to_le_bytes())?;
-        }
-        for column in [&self.x, &self.y, &self.z] {
-            write_f64s(&mut w, column)?;
-        }
-        w.flush()
-    }
-
-    /// Read a store previously written by [`EphemerisStore::save`].
-    pub fn load(path: &Path) -> io::Result<EphemerisStore> {
-        let mut r = BufReader::new(std::fs::File::open(path)?);
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != CACHE_MAGIC {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "not an ephemeris cache"));
-        }
-        let pool_hash = read_u64(&mut r)?;
-        let mut kind = [0u8; 1];
-        r.read_exact(&mut kind)?;
-        let propagator = match kind[0] {
-            0 => PropagatorKind::KeplerJ2,
-            1 => PropagatorKind::Sgp4,
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unknown propagator tag {other}"),
-                ))
-            }
-        };
-        let sats = read_u64(&mut r)? as usize;
-        let steps = read_u64(&mut r)? as usize;
-        let step_s = f64::from_bits(read_u64(&mut r)?);
-        let jdm = f64::from_bits(read_u64(&mut r)?);
-        let sod = f64::from_bits(read_u64(&mut r)?);
-        let step_positive = step_s.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
-        if steps == 0 || !step_positive || !jdm.is_finite() || !sod.is_finite() {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "corrupt ephemeris header"));
-        }
-        let grid = TimeGrid::with_steps(Epoch::from_jd_parts(jdm, sod), steps, step_s);
-        let mut sat_ids = Vec::with_capacity(sats);
-        let mut id = [0u8; 4];
-        for _ in 0..sats {
-            r.read_exact(&mut id)?;
-            sat_ids.push(u32::from_le_bytes(id));
-        }
-        let len = sats
-            .checked_mul(steps)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "ephemeris size overflow"))?;
-        let x = read_f64s(&mut r, len)?;
-        let y = read_f64s(&mut r, len)?;
-        let z = read_f64s(&mut r, len)?;
-        Ok(EphemerisStore { grid, sat_ids, propagator, pool_hash, x, y, z })
     }
 }
 
@@ -320,79 +195,13 @@ fn propagator_for(sat: &Satellite, kind: PropagatorKind, f: impl FnOnce(&dyn Pro
     }
 }
 
-/// FNV-1a hash of a satellite pool: element sets, epochs, and IDs. Two pools
-/// hash equal iff every propagator input is bit-identical, which is the
-/// correctness condition for reusing a cached ephemeris.
-pub fn hash_pool(sats: &[Satellite]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    fnv_u64(&mut h, sats.len() as u64);
-    for s in sats {
-        fnv_u64(&mut h, s.id as u64);
-        let el = &s.elements;
-        for f in [
-            el.semi_major_axis_km,
-            el.eccentricity,
-            el.inclination_rad,
-            el.raan_rad,
-            el.arg_perigee_rad,
-            el.mean_anomaly_rad,
-        ] {
-            fnv_u64(&mut h, f.to_bits());
-        }
-        let (jdm, sod) = s.epoch.jd_parts();
-        fnv_u64(&mut h, jdm.to_bits());
-        fnv_u64(&mut h, sod.to_bits());
-    }
-    h
-}
-
-fn fnv_u64(hash: &mut u64, value: u64) {
-    for b in value.to_le_bytes() {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
-fn write_f64s<W: Write>(w: &mut W, values: &[f64]) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(8 * 8192);
-    for chunk in values.chunks(8192) {
-        buf.clear();
-        for v in chunk {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        w.write_all(&buf)?;
-    }
-    Ok(())
-}
-
-fn read_f64s<R: Read>(r: &mut R, len: usize) -> io::Result<Vec<f64>> {
-    let mut out = Vec::with_capacity(len);
-    let mut buf = vec![0u8; 8 * 8192];
-    let mut remaining = len;
-    while remaining > 0 {
-        let take = remaining.min(8192);
-        let bytes = &mut buf[..8 * take];
-        r.read_exact(bytes)?;
-        for b in bytes.chunks_exact(8) {
-            out.push(f64::from_le_bytes(b.try_into().expect("chunk is 8 bytes")));
-        }
-        remaining -= take;
-    }
-    Ok(out)
-}
-
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use orbital::constellation::single_plane;
     use orbital::frames::eci_to_ecef;
     use orbital::propagator::{KeplerJ2, Propagator};
+    use orbital::time::Epoch;
 
     fn epoch() -> Epoch {
         Epoch::from_ymdhms(2024, 6, 1, 0, 0, 0.0)
@@ -419,29 +228,20 @@ mod tests {
     fn thread_counts_agree_bitwise() {
         let sats = single_plane(7, 550.0, 53.0, epoch());
         let grid = TimeGrid::new(epoch(), 2.0 * 3600.0, 120.0);
-        let t1 = EphemerisStore::build(&sats, &grid, &SimConfig { threads: 1, ..Default::default() });
-        let t4 = EphemerisStore::build(&sats, &grid, &SimConfig { threads: 4, ..Default::default() });
+        let cfg = SimConfig::default();
+        let build = || EphemerisStore::build(&sats, &grid, &cfg);
+        let t1 = simrt::with_thread_cap(1, build);
+        let t4 = simrt::with_thread_cap(4, build);
         for s in 0..sats.len() {
+            // The thread cap bounds parallelism, not the chunk count; a
+            // one-satellite build pins that chunk boundaries never change a
+            // bit either — what `select` and the CLI's sample builds rely on.
+            let alone = EphemerisStore::build(&sats[s..=s], &grid, &cfg);
             for k in 0..grid.steps {
                 assert_eq!(t1.position(s, k), t4.position(s, k), "sat {s} step {k}");
+                assert_eq!(t1.position(s, k), alone.position(0, k), "sat {s} step {k} alone");
             }
         }
-    }
-
-    #[test]
-    fn sgp4_store_differs_from_keplerj2() {
-        let sats = single_plane(2, 550.0, 53.0, epoch());
-        let grid = TimeGrid::new(epoch(), 86_400.0, 600.0);
-        let kj2 = EphemerisStore::build(&sats, &grid, &SimConfig::default());
-        let cfg = SimConfig { propagator: PropagatorKind::Sgp4, ..Default::default() };
-        let sgp4 = EphemerisStore::build(&sats, &grid, &cfg);
-        let max_sep = (0..sats.len())
-            .flat_map(|s| (0..grid.steps).map(move |k| (s, k)))
-            .map(|(s, k)| kj2.position(s, k).distance(sgp4.position(s, k)))
-            .fold(0.0f64, f64::max);
-        // The models agree to a few km but are far from bit-identical.
-        assert!(max_sep > 0.1, "SGP4 indistinguishable from KeplerJ2: {max_sep} km");
-        assert!(max_sep < 50.0, "models diverged implausibly: {max_sep} km");
     }
 
     #[test]
@@ -456,62 +256,5 @@ mod tests {
             assert_eq!(sub.position(0, k), store.position(4, k));
             assert_eq!(sub.position(1, k), store.position(1, k));
         }
-        assert_ne!(sub.pool_hash, store.pool_hash);
-    }
-
-    #[test]
-    fn cache_round_trip_is_bit_exact() {
-        let sats = single_plane(3, 550.0, 53.0, epoch());
-        let grid = TimeGrid::new(epoch(), 7200.0, 180.0);
-        let cfg = SimConfig::default();
-        let store = EphemerisStore::build(&sats, &grid, &cfg);
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("mpleo-ephemeris-test-{}.bin", std::process::id()));
-        store.save(&path).expect("save");
-        let loaded = EphemerisStore::load(&path).expect("load");
-        assert!(loaded.matches(&sats, &grid, &cfg));
-        assert_eq!(loaded.sat_ids, store.sat_ids);
-        assert_eq!(loaded.propagator, store.propagator);
-        for s in 0..store.sat_count() {
-            for k in 0..store.steps() {
-                assert_eq!(loaded.position(s, k), store.position(s, k), "sat {s} step {k}");
-            }
-        }
-        // A different pool or grid invalidates the cache.
-        let other = single_plane(4, 550.0, 53.0, epoch());
-        assert!(!loaded.matches(&other, &grid, &cfg));
-        let other_grid = TimeGrid::new(epoch(), 7200.0, 90.0);
-        assert!(!loaded.matches(&sats, &other_grid, &cfg));
-        let sgp4 = SimConfig { propagator: PropagatorKind::Sgp4, ..Default::default() };
-        assert!(!loaded.matches(&sats, &grid, &sgp4));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn load_or_build_uses_cache() {
-        let sats = single_plane(2, 550.0, 53.0, epoch());
-        let grid = TimeGrid::new(epoch(), 3600.0, 300.0);
-        let cfg = SimConfig::default();
-        let path = std::env::temp_dir()
-            .join(format!("mpleo-ephemeris-lob-{}.bin", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let built = EphemerisStore::load_or_build(&sats, &grid, &cfg, Some(&path));
-        assert!(path.exists(), "first call must write the cache");
-        let loaded = EphemerisStore::load_or_build(&sats, &grid, &cfg, Some(&path));
-        assert_eq!(loaded.pool_hash, built.pool_hash);
-        for s in 0..built.sat_count() {
-            for k in 0..built.steps() {
-                assert_eq!(loaded.position(s, k), built.position(s, k));
-            }
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn pool_hash_sensitive_to_elements() {
-        let a = single_plane(3, 550.0, 53.0, epoch());
-        let b = single_plane(3, 551.0, 53.0, epoch());
-        assert_ne!(hash_pool(&a), hash_pool(&b));
-        assert_eq!(hash_pool(&a), hash_pool(&a.clone()));
     }
 }

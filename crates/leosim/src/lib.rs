@@ -16,7 +16,7 @@
 //!    horizon) with precomputed Earth-rotation angles.
 //! 2. [`ephemeris::EphemerisStore`] — propagate every satellite over the
 //!    grid exactly once into a columnar table of ECEF positions, shared by
-//!    every downstream consumer (and cacheable to disk across processes).
+//!    every downstream consumer.
 //! 3. [`visibility::VisibilityTable`] — a pure geometry kernel over the
 //!    store: for every site, the steps where each satellite is above the
 //!    elevation mask.
@@ -55,7 +55,6 @@
 
 pub mod bentpipe;
 pub mod bitset;
-pub mod contacts;
 pub mod coverage;
 pub mod coveragemap;
 pub mod dtn;

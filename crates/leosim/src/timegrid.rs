@@ -39,19 +39,6 @@ impl TimeGrid {
         TimeGrid::new(start, 7.0 * 86_400.0, step_s)
     }
 
-    /// Build a grid from an explicit step count (the exact inverse of
-    /// serializing `(start, step_s, steps)`, used by the ephemeris cache).
-    /// The precomputed GMST sequence is identical to [`TimeGrid::new`]'s
-    /// because both derive every instant as `start + k * step_s`.
-    pub fn with_steps(start: Epoch, steps: usize, step_s: f64) -> Self {
-        assert!(step_s > 0.0, "step must be positive");
-        assert!(steps >= 1, "grid needs at least one instant");
-        let gmst = (0..steps)
-            .map(|k| start.plus_seconds(k as f64 * step_s).gmst())
-            .collect();
-        TimeGrid { start, step_s, steps, gmst }
-    }
-
     /// The epoch of step `k`.
     pub fn epoch_at(&self, k: usize) -> Epoch {
         debug_assert!(k < self.steps);
@@ -137,15 +124,5 @@ mod tests {
     #[should_panic]
     fn zero_step_panics() {
         TimeGrid::new(start(), 100.0, 0.0);
-    }
-
-    #[test]
-    fn with_steps_matches_new() {
-        let a = TimeGrid::new(start(), 7200.0, 90.0);
-        let b = TimeGrid::with_steps(start(), a.steps, a.step_s);
-        assert_eq!(a.steps, b.steps);
-        for k in 0..a.steps {
-            assert_eq!(a.gmst_at(k).to_bits(), b.gmst_at(k).to_bits(), "step {k}");
-        }
     }
 }

@@ -35,13 +35,11 @@ pub struct SimConfig {
     pub min_elevation_deg: f64,
     /// Propagator model.
     pub propagator: PropagatorKind,
-    /// Number of worker threads (0 = use available parallelism).
-    pub threads: usize,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
-        SimConfig { min_elevation_deg: 25.0, propagator: PropagatorKind::KeplerJ2, threads: 0 }
+        SimConfig { min_elevation_deg: 25.0, propagator: PropagatorKind::KeplerJ2 }
     }
 }
 
@@ -58,19 +56,6 @@ impl SimConfig {
     #[inline]
     pub fn sin_mask(&self) -> f64 {
         self.min_elevation_deg.to_radians().sin()
-    }
-
-    /// The resolved worker count for this config: an explicit `threads`
-    /// wins; `0` defers to the process-wide [`simrt::threads`] resolution
-    /// (CLI `--threads`, then a validated `MPLEO_THREADS`, then available
-    /// parallelism). No silent made-up default — the old
-    /// `available_parallelism().unwrap_or(4)` fallback is gone.
-    pub fn thread_count(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            simrt::threads()
-        }
     }
 }
 
@@ -133,7 +118,7 @@ impl VisibilityTable {
         let n = indices.len();
         // One task per satellite row on the shared pool; results land in
         // index order, so the table is identical at every thread count.
-        let table: Vec<Vec<TimeBitset>> = simrt::par_map_indexed(n, config.thread_count(), |i| {
+        let table: Vec<Vec<TimeBitset>> = simrt::par_map_indexed(n, 0, |i| {
             visibility_row(store, indices[i], sites, sin_mask)
         });
 
@@ -274,8 +259,9 @@ mod tests {
         let sats = single_plane(6, 550.0, 53.0, epoch());
         let sites = [taipei(), GroundSite::from_degrees("Tokyo", 35.69, 139.69)];
         let grid = TimeGrid::new(epoch(), 6.0 * 3600.0, 60.0);
-        let t1 = VisibilityTable::compute(&sats, &sites, &grid, &SimConfig { threads: 1, ..Default::default() });
-        let t4 = VisibilityTable::compute(&sats, &sites, &grid, &SimConfig { threads: 4, ..Default::default() });
+        let compute = || VisibilityTable::compute(&sats, &sites, &grid, &SimConfig::default());
+        let t1 = simrt::with_thread_cap(1, compute);
+        let t4 = simrt::with_thread_cap(4, compute);
         for s in 0..sats.len() {
             for site in 0..2 {
                 assert_eq!(t1.bitset(s, site), t4.bitset(s, site), "sat {s} site {site}");

@@ -6,8 +6,8 @@
 //! existed: per satellite, instantiate the configured propagator, and per
 //! grid step propagate, rotate to ECEF with the grid's precomputed GMST, and
 //! screen against every site. Any divergence — a reordered float operation,
-//! a lossy cache round trip, a racy chunk boundary — fails these tests
-//! exactly, not within a tolerance.
+//! a racy chunk boundary — fails these tests exactly, not within a
+//! tolerance.
 
 use leosim::bitset::TimeBitset;
 use leosim::ephemeris::EphemerisStore;
@@ -90,15 +90,17 @@ fn store_path_bit_identical_across_masks_and_threads() {
     let sites = sites();
     let grid = TimeGrid::new(epoch(), 12.0 * 3600.0, 120.0);
     for mask in [10.0, 25.0, 40.0] {
+        let cfg = SimConfig::default().with_mask_deg(mask);
+        let reference = reference_visibility(&sats, &sites, &grid, &cfg);
         for threads in [1usize, 4] {
-            let cfg = SimConfig { threads, ..SimConfig::default().with_mask_deg(mask) };
-            let reference = reference_visibility(&sats, &sites, &grid, &cfg);
-            let store = EphemerisStore::build(&sats, &grid, &cfg);
-            let vt = VisibilityTable::from_store(&store, &sites, &cfg);
-            assert_tables_identical(&vt, &reference, &format!("mask {mask} threads {threads}"));
-            // The one-shot convenience must agree too.
-            let direct = VisibilityTable::compute(&sats, &sites, &grid, &cfg);
-            assert_tables_identical(&direct, &reference, &format!("compute mask {mask}"));
+            simrt::with_thread_cap(threads, || {
+                let store = EphemerisStore::build(&sats, &grid, &cfg);
+                let vt = VisibilityTable::from_store(&store, &sites, &cfg);
+                assert_tables_identical(&vt, &reference, &format!("mask {mask} threads {threads}"));
+                // The one-shot convenience must agree too.
+                let direct = VisibilityTable::compute(&sats, &sites, &grid, &cfg);
+                assert_tables_identical(&direct, &reference, &format!("compute mask {mask}"));
+            });
         }
     }
 }
@@ -113,31 +115,6 @@ fn store_path_bit_identical_for_sgp4() {
     let store = EphemerisStore::build(&sats, &grid, &cfg);
     let vt = VisibilityTable::from_store(&store, &sites, &cfg);
     assert_tables_identical(&vt, &reference, "sgp4");
-}
-
-#[test]
-fn cached_store_bit_identical_to_fresh_build() {
-    let sats = pool();
-    let sites = sites();
-    let grid = TimeGrid::new(epoch(), 6.0 * 3600.0, 120.0);
-    let cfg = SimConfig::default();
-    let path = std::env::temp_dir()
-        .join(format!("mpleo-equivalence-cache-{}.bin", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let fresh = EphemerisStore::load_or_build(&sats, &grid, &cfg, Some(&path));
-    let cached = EphemerisStore::load_or_build(&sats, &grid, &cfg, Some(&path));
-    let reference = reference_visibility(&sats, &sites, &grid, &cfg);
-    assert_tables_identical(
-        &VisibilityTable::from_store(&fresh, &sites, &cfg),
-        &reference,
-        "fresh store",
-    );
-    assert_tables_identical(
-        &VisibilityTable::from_store(&cached, &sites, &cfg),
-        &reference,
-        "cache round-tripped store",
-    );
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

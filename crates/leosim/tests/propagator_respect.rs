@@ -1,9 +1,9 @@
 //! Regression tests for the config-plumbing bug fixed by the ephemeris
-//! refactor: `CoverageMap::compute`, ISL connectivity and the
-//! contact-volume path used to hardcode `KeplerJ2` (and single-threaded
-//! loops), silently ignoring `SimConfig::propagator` and
-//! `SimConfig::threads`. They now all read an `EphemerisStore::build`,
-//! which honors both. These tests pin that behaviour:
+//! refactor: `CoverageMap::compute` and ISL connectivity used to hardcode
+//! `KeplerJ2` (and single-threaded loops), silently ignoring
+//! `SimConfig::propagator`. They now read an `EphemerisStore::build`, which
+//! honors it and runs on the shared `simrt` pool. These tests pin that
+//! behaviour:
 //!
 //! * SGP4-configured runs must differ from KeplerJ2 runs (the models are
 //!   kilometres apart over a day, far beyond any float noise) — proving
@@ -12,10 +12,9 @@
 //! * Thread count must not change any output bit.
 
 use leosim::bentpipe::isl_connectivity_from_store;
-use leosim::contacts::{contact_volume_bits_from_store, ContactPlan};
 use leosim::coveragemap::CoverageMap;
 use leosim::ephemeris::EphemerisStore;
-use leosim::visibility::{PropagatorKind, SimConfig, VisibilityTable};
+use leosim::visibility::{PropagatorKind, SimConfig};
 use leosim::TimeGrid;
 use orbital::constellation::{single_plane, walker_delta, ShellSpec};
 use orbital::ground::GroundSite;
@@ -68,38 +67,16 @@ fn isl_connectivity_respects_configured_propagator() {
     let spec = ShellSpec { planes: 6, sats_per_plane: 8, ..ShellSpec::starlink_like() };
     let sats = walker_delta(&spec, epoch());
     let term = [GroundSite::from_degrees("T", 25.0, 121.5)];
-    let gs = [GroundSite::from_degrees("G", 40.7, -74.0)];
+    let gs = [GroundSite::from_degrees("G", 35.7, 139.7)];
     let grid = TimeGrid::new(epoch(), 86_400.0, 60.0);
     let connected = |cfg: &SimConfig| {
         let store = EphemerisStore::build(&sats, &grid, cfg);
         isl_connectivity_from_store(&store, &term, &gs, cfg, 3000.0, 4).remove(0).connected
     };
-    assert_ne!(connected(&kj2()), connected(&sgp4()), "propagator config ignored by ISL path");
-}
-
-#[test]
-fn contact_volume_respects_configured_propagator() {
-    let sats = single_plane(4, 550.0, 53.0, epoch());
-    let site = GroundSite::from_degrees("GS", 25.0, 121.5);
-    let grid = TimeGrid::new(epoch(), 86_400.0, 30.0);
-    let volume_for = |cfg: &SimConfig| -> f64 {
-        let store = EphemerisStore::build(&sats, &grid, cfg);
-        let vt = VisibilityTable::from_store(&store, std::slice::from_ref(&site), cfg);
-        let plan = ContactPlan::from_table(&vt);
-        let leg = leosim::linkbudget::RfLeg::ku_gateway_downlink();
-        plan.contacts
-            .iter()
-            .map(|c| contact_volume_bits_from_store(c, &site, &store, &leg))
-            .sum()
-    };
-    let v_kj2 = volume_for(&kj2());
-    let v_sgp4 = volume_for(&sgp4());
-    assert!(v_kj2 > 0.0);
-    assert_ne!(
-        v_kj2.to_bits(),
-        v_sgp4.to_bits(),
-        "propagator config ignored by contact volume path"
-    );
+    let (a, b) = (connected(&kj2()), connected(&sgp4()));
+    // Two empty bitsets would compare equal (or unequal) for no reason.
+    assert!(a.count_ones() > 0 && b.count_ones() > 0, "no Taipei-Tokyo relay at all");
+    assert_ne!(a, b, "propagator config ignored by ISL path");
 }
 
 #[test]
@@ -108,14 +85,12 @@ fn thread_count_does_not_change_any_consumer_output() {
     let term = [GroundSite::from_degrees("T", 25.0, 121.5)];
     let gs = [GroundSite::from_degrees("G", 25.5, 121.0)];
     let grid = TimeGrid::new(epoch(), 12.0 * 3600.0, 120.0);
-    let c1 = SimConfig { threads: 1, ..Default::default() };
-    let c4 = SimConfig { threads: 4, ..Default::default() };
-    let map1 = CoverageMap::compute(&sats, &grid, &c1.clone().with_mask_deg(10.0), 9, 18);
-    let map4 = CoverageMap::compute(&sats, &grid, &c4.clone().with_mask_deg(10.0), 9, 18);
-    assert_eq!(map1.cells, map4.cells);
-    let isl = |cfg: &SimConfig| {
-        let store = EphemerisStore::build(&sats, &grid, cfg);
-        isl_connectivity_from_store(&store, &term, &gs, cfg, 3000.0, 2).remove(0).connected
+    let cfg = SimConfig::default();
+    let map = || CoverageMap::compute(&sats, &grid, &cfg.clone().with_mask_deg(10.0), 9, 18);
+    assert_eq!(simrt::with_thread_cap(1, map).cells, simrt::with_thread_cap(4, map).cells);
+    let isl = || {
+        let store = EphemerisStore::build(&sats, &grid, &cfg);
+        isl_connectivity_from_store(&store, &term, &gs, &cfg, 3000.0, 2).remove(0).connected
     };
-    assert_eq!(isl(&c1), isl(&c4));
+    assert_eq!(simrt::with_thread_cap(1, isl), simrt::with_thread_cap(4, isl));
 }

@@ -170,19 +170,12 @@ impl Epoch {
         (hour.min(23), minute.min(59), second)
     }
 
-    /// The exact internal representation `(jd_midnight, seconds_of_day)`.
-    ///
-    /// Together with [`Epoch::from_jd_parts`] this round-trips an epoch
-    /// bit-for-bit, unlike going through the single-f64 [`Epoch::jd`] (which
-    /// loses tens of microseconds at JD magnitudes). Binary serializers (the
-    /// leosim ephemeris cache) depend on this exactness.
+    /// The exact internal representation `(jd_midnight, seconds_of_day)`:
+    /// the seconds of day keep full precision, unlike the single-f64
+    /// [`Epoch::jd`] (which loses tens of microseconds at JD magnitudes).
+    /// The traffic demand model reads its local time of day from here.
     pub fn jd_parts(&self) -> (f64, f64) {
         (self.jd_midnight, self.seconds_of_day)
-    }
-
-    /// Rebuild an epoch from the parts returned by [`Epoch::jd_parts`].
-    pub fn from_jd_parts(jd_midnight: f64, seconds_of_day: f64) -> Self {
-        Epoch { jd_midnight, seconds_of_day }.rebalanced()
     }
 
     /// Day of year with fractional part, in the TLE convention
@@ -274,18 +267,6 @@ mod tests {
         // Vallado example: 1996-10-26 14:20:00 UTC -> JD 2450383.09722222.
         let e = Epoch::from_ymdhms(1996, 10, 26, 14, 20, 0.0);
         assert!((e.jd() - 2_450_383.097_222_22).abs() < 1e-7, "jd={}", e.jd());
-    }
-
-    #[test]
-    fn jd_parts_roundtrip_is_exact() {
-        let e = Epoch::from_ymdhms(2024, 6, 1, 13, 37, 12.345_678_9).plus_seconds(123_456.789);
-        let (jdm, sod) = e.jd_parts();
-        let back = Epoch::from_jd_parts(jdm, sod);
-        let (jdm2, sod2) = back.jd_parts();
-        // Bit-exact, not merely close: the ephemeris cache depends on it.
-        assert_eq!(jdm.to_bits(), jdm2.to_bits());
-        assert_eq!(sod.to_bits(), sod2.to_bits());
-        assert_eq!(e.seconds_since(&back), 0.0);
     }
 
     #[test]

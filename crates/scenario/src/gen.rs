@@ -297,7 +297,6 @@ impl Scenario {
         let sim = SimConfig {
             min_elevation_deg: self.mask_deg,
             propagator: if self.sgp4 { PropagatorKind::Sgp4 } else { PropagatorKind::KeplerJ2 },
-            ..SimConfig::default()
         };
         let store = EphemerisStore::build(&sats, &grid, &sim);
         let pool = paper_cities();
