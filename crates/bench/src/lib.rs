@@ -31,7 +31,6 @@ use orbital::constellation::{starlink_gen1_pool, Satellite};
 use orbital::ground::GroundSite;
 use orbital::time::Epoch;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Experiment fidelity settings.
@@ -147,19 +146,6 @@ impl Fidelity {
         }
         Ok(fidelity)
     }
-
-    /// Print the standard experiment banner.
-    pub fn banner(&self, figure: &str, what: &str) {
-        println!("=== {figure}: {what} ===");
-        println!(
-            "fidelity: {} (horizon {:.1} days, step {:.0} s, {} runs){}",
-            if self.full { "FULL (paper settings)" } else { "quick" },
-            self.horizon_s / 86_400.0,
-            self.step_s,
-            self.runs,
-            if self.full { "" } else { "  [set MPLEO_FULL=1 for paper settings]" }
-        );
-    }
 }
 
 /// The common scenario epoch for all experiments.
@@ -211,10 +197,7 @@ impl Context {
     /// over the grid exactly once per process and reuse it for every table,
     /// mask, sample and figure.
     pub fn pool_ephemeris(&self) -> &EphemerisStore {
-        self.ephemeris.get_or_init(|| {
-            EPHEMERIS_BUILDS.fetch_add(1, Ordering::SeqCst);
-            EphemerisStore::build(&self.pool, &self.grid, &self.config)
-        })
+        self.ephemeris.get_or_init(|| EphemerisStore::build(&self.pool, &self.grid, &self.config))
     }
 
     /// Compute the pool-wide visibility table against the 21 cities.
@@ -267,17 +250,6 @@ impl Context {
     pub fn subset_ephemeris(&self, indices: &[usize]) -> EphemerisStore {
         self.pool_ephemeris().select(indices)
     }
-}
-
-/// Count of pool-wide ephemeris builds performed by [`Context`]s in this
-/// process; the suite runner's one-build-per-process guarantee is asserted
-/// against it.
-static EPHEMERIS_BUILDS: AtomicUsize = AtomicUsize::new(0);
-
-/// How many times any [`Context`] in this process has built the pool-wide
-/// ephemeris.
-pub fn ephemeris_build_count() -> usize {
-    EPHEMERIS_BUILDS.load(Ordering::SeqCst)
 }
 
 /// Render a simple aligned table as a string. Ragged rows are tolerated:
@@ -419,6 +391,8 @@ mod tests {
         let sub = ctx.subset_ephemeris(&[0, 5, 9]);
         assert_eq!(sub.sat_count(), 3);
         assert_eq!(sub.position(1, 0), ctx.pool_ephemeris().position(5, 0));
+        // One Context admits one build: the subset paths read the same store.
+        assert!(std::ptr::eq(a, ctx.pool_ephemeris()), "subset paths must not rebuild the store");
     }
 
     #[test]

@@ -16,14 +16,11 @@ pub struct Args {
 
 /// Parsing errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[allow(dead_code)] // full error/accessor API; not every command uses every variant
 pub enum ArgError {
     /// A flag appeared twice.
     Duplicate(String),
     /// More than one positional token.
     ExtraPositional(String),
-    /// A requested flag was absent.
-    Required(String),
     /// A value failed to parse; `(flag, value, expected-type)`.
     BadValue(String, String, &'static str),
     /// A flag not in the allowed set was provided.
@@ -35,7 +32,6 @@ impl std::fmt::Display for ArgError {
         match self {
             ArgError::Duplicate(k) => write!(f, "flag --{k} given twice"),
             ArgError::ExtraPositional(t) => write!(f, "unexpected argument '{t}'"),
-            ArgError::Required(k) => write!(f, "missing required flag --{k}"),
             ArgError::BadValue(k, v, ty) => write!(f, "--{k}={v} is not a valid {ty}"),
             ArgError::Unknown(k) => write!(f, "unknown flag --{k}"),
         }
@@ -90,12 +86,6 @@ impl Args {
         self.flags.get(key).cloned().unwrap_or_else(|| default.to_string())
     }
 
-    /// A required string flag.
-    #[allow(dead_code)]
-    pub fn require_str(&self, key: &str) -> Result<String, ArgError> {
-        self.flags.get(key).cloned().ok_or_else(|| ArgError::Required(key.to_string()))
-    }
-
     /// A float flag, or default.
     pub fn get_f64(&self, key: &str, default: f64) -> Result<f64, ArgError> {
         match self.flags.get(key) {
@@ -104,13 +94,6 @@ impl Args {
                 v.parse().map_err(|_| ArgError::BadValue(key.to_string(), v.clone(), "number"))
             }
         }
-    }
-
-    /// A required float flag.
-    #[allow(dead_code)]
-    pub fn require_f64(&self, key: &str) -> Result<f64, ArgError> {
-        let v = self.require_str(key)?;
-        v.parse().map_err(|_| ArgError::BadValue(key.to_string(), v, "number"))
     }
 
     /// An integer flag, or default.
@@ -134,7 +117,6 @@ impl Args {
     }
 
     /// A boolean flag (present/true/false), default false.
-    #[allow(dead_code)]
     pub fn get_bool(&self, key: &str) -> bool {
         matches!(self.flags.get(key).map(String::as_str), Some("true") | Some("1") | Some("yes"))
     }
@@ -152,8 +134,8 @@ mod tests {
     fn subcommand_and_flags() {
         let a = parse("coverage --lat 25.0 --lon=121.5 --sats 100").unwrap();
         assert_eq!(a.command.as_deref(), Some("coverage"));
-        assert_eq!(a.require_f64("lat").unwrap(), 25.0);
-        assert_eq!(a.require_f64("lon").unwrap(), 121.5);
+        assert_eq!(a.get_f64("lat", 0.0).unwrap(), 25.0);
+        assert_eq!(a.get_f64("lon", 0.0).unwrap(), 121.5);
         assert_eq!(a.get_usize("sats", 0).unwrap(), 100);
         assert_eq!(a.get_usize("days", 7).unwrap(), 7);
     }
@@ -170,7 +152,7 @@ mod tests {
     fn flag_followed_by_flag_is_boolean() {
         let a = parse("x --verbose --lat 1.0").unwrap();
         assert!(a.get_bool("verbose"));
-        assert_eq!(a.require_f64("lat").unwrap(), 1.0);
+        assert_eq!(a.get_f64("lat", 0.0).unwrap(), 1.0);
     }
 
     #[test]
@@ -178,8 +160,7 @@ mod tests {
         assert_eq!(parse("x --a 1 --a 2").unwrap_err(), ArgError::Duplicate("a".into()));
         assert_eq!(parse("x y").unwrap_err(), ArgError::ExtraPositional("y".into()));
         let a = parse("x --lat abc").unwrap();
-        assert!(matches!(a.require_f64("lat"), Err(ArgError::BadValue(..))));
-        assert!(matches!(a.require_f64("lon"), Err(ArgError::Required(..))));
+        assert!(matches!(a.get_f64("lat", 0.0), Err(ArgError::BadValue(..))));
     }
 
     #[test]
@@ -197,7 +178,7 @@ mod tests {
 
     #[test]
     fn error_messages_name_the_flag() {
-        assert!(ArgError::Required("lat".into()).to_string().contains("--lat"));
+        assert!(ArgError::Unknown("lat".into()).to_string().contains("--lat"));
         assert!(ArgError::BadValue("n".into(), "x".into(), "integer")
             .to_string()
             .contains("--n=x"));

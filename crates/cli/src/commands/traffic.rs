@@ -1,12 +1,8 @@
 //! The `traffic` command: route diurnal metro demand over a shared
 //! constellation sample and summarize service plus the capacity market.
 
-use super::common::{configure_threads, epoch, sampled_sats, CmdResult};
+use super::common::{CmdResult, TrafficScene};
 use crate::args::Args;
-use leosim::ephemeris::EphemerisStore;
-use leosim::visibility::SimConfig;
-use leosim::TimeGrid;
-use orbital::time::format_duration;
 // The crate is `traffic`, the command below is `traffic()`; alias the
 // crate so paths inside the function stay unambiguous to readers.
 use traffic as traffic_crate;
@@ -16,77 +12,31 @@ use traffic as traffic_crate;
 /// market (the `traffic` crate's engine, the CLI-sized cousin of the
 /// `traffic_diurnal` experiment).
 pub fn traffic(args: &Args) -> CmdResult {
-    args.expect_only(&[
-        "sats",
-        "hours",
-        "step",
-        "parties",
-        "gateway-stride",
-        "isl-range",
-        "max-hops",
-        "scale",
-        "mask",
-        "threads",
-    ])?;
-    configure_threads(args)?;
-    let sats_n = args.get_usize("sats", 300)?;
-    let hours = args.get_f64("hours", 12.0)?;
-    let step = args.get_f64("step", 600.0)?;
-    let n_parties = args.get_usize("parties", 3)?;
-    let stride = args.get_usize("gateway-stride", 3)?;
+    let scene = TrafficScene::from_args(args, &["isl-range", "max-hops"], 0xC14)?;
     let isl_range = args.get_f64("isl-range", 3000.0)?;
     let max_hops = args.get_usize("max-hops", 1)?;
-    let scale = args.get_f64("scale", 1.0)?;
-    let mask = args.get_f64("mask", 25.0)?;
-    if n_parties == 0 {
-        return Err("--parties must be at least 1".into());
-    }
-    if stride == 0 {
-        return Err("--gateway-stride must be at least 1".into());
-    }
-    if scale < 0.0 {
-        return Err("--scale must be non-negative".into());
-    }
 
-    let grid = TimeGrid::new(epoch(), hours * 3600.0, step);
-    let cfg = SimConfig::default().with_mask_deg(mask);
-    let store = EphemerisStore::build(&sampled_sats(0xC14, sats_n)?, &grid, &cfg);
-
-    let cities = geodata::paper_cities();
-    let gateways = traffic_crate::gateways_every_nth(&cities, stride);
-    let parties: Vec<mpleo::party::PartyId> =
-        (0..n_parties).map(|p| mpleo::party::PartyId::new(format!("party-{p}"))).collect();
-    let sat_party: Vec<usize> = (0..store.sat_count()).map(|s| s % n_parties).collect();
-    let city_party: Vec<usize> = (0..cities.len()).map(|c| c % n_parties).collect();
     let tcfg = traffic_crate::TrafficConfig {
         graph: traffic_crate::GraphConfig {
             isl_range_km: isl_range,
             max_hops,
             ..traffic_crate::GraphConfig::default()
         },
-        demand_scale: scale,
+        demand_scale: scene.scale,
         ..traffic_crate::TrafficConfig::default()
     };
     let report = traffic_crate::run_traffic(
-        &store,
-        &cities,
-        &gateways,
-        &cfg,
+        &scene.store,
+        &scene.cities,
+        &scene.gateways,
+        &scene.cfg,
         &tcfg,
-        &sat_party,
-        &city_party,
-        &parties,
+        &scene.sat_party,
+        &scene.city_party,
+        &scene.parties,
     );
 
-    println!(
-        "constellation sample: {sats_n} satellites, {n_parties} parties, {} gateways",
-        gateways.len()
-    );
-    println!(
-        "horizon: {} ({} steps of {step:.0} s)",
-        format_duration(grid.duration_s()),
-        grid.steps
-    );
+    scene.print_header();
     println!(
         "served: {:.1}% of offered traffic (drop {:.1}%)",
         report.served_ratio() * 100.0,
@@ -116,10 +66,9 @@ pub fn traffic(args: &Args) -> CmdResult {
         &rows,
     );
 
-    // Market coupling: 6-hour epochs (at least one step each).
-    let epoch_steps = ((6.0 * 3600.0 / step).round() as usize).max(1);
-    let summaries = traffic_crate::summarize_epochs(&report, epoch_steps);
-    let keys = traffic_crate::party_keys(&parties, b"mpleo-traffic-cli");
+    // Market coupling, one clearing per epoch.
+    let summaries = traffic_crate::summarize_epochs(&report, scene.epoch_steps);
+    let keys = traffic_crate::party_keys(&scene.parties, b"mpleo-traffic-cli");
     let orders = traffic_crate::epoch_orders(&summaries, &keys, 1.0);
     let book = traffic_crate::clear_market(&orders);
     let settlement = book.settlement();

@@ -10,6 +10,9 @@
 //! * `cities`   — print the embedded 21-city dataset
 //! * `traffic`  — route diurnal metro demand and summarize the market
 //! * `churn`    — run a timed failure/withdrawal campaign over the traffic stack
+//! * `map`      — ASCII world map of coverage fraction
+//! * `audit`    — fit an orbit from synthetic ranging and audit a publication
+//! * `manifest` — emit a validated constellation manifest as JSON
 //! * `node`     — run a live coordination-protocol node over TCP
 //! * `fuzz`     — seeded whole-stack scenario fuzzing with invariant oracles
 //! * `experiments` — run the paper's figure/ablation suite in one process

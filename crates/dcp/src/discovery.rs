@@ -75,11 +75,6 @@ impl AddressBook {
     pub fn known_count(&self) -> usize {
         self.known.len()
     }
-
-    /// Number of connected sessions tracked.
-    pub fn connected_count(&self) -> usize {
-        self.connected.len()
-    }
 }
 
 #[cfg(test)]
@@ -117,7 +112,6 @@ mod tests {
         book.learn([addr(1), addr(2)]);
         book.mark_connected(addr(1));
         book.mark_disconnected(addr(1));
-        assert_eq!(book.connected_count(), 0);
         // The address stays known and becomes dialable again.
         assert_eq!(book.dial_candidates(1), vec![addr(1)]);
     }

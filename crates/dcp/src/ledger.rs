@@ -177,11 +177,6 @@ impl Ledger {
         &self.accounts
     }
 
-    /// Mutable access to the account book (for local credit/debit flows).
-    pub fn accounts_mut(&mut self) -> &mut Accounts {
-        &mut self.accounts
-    }
-
     /// Record a receipt under its content id. Idempotent.
     pub fn insert_receipt(&mut self, id: ItemId, receipt: CoverageReceipt) {
         let entry = self.entries.entry(id).or_insert_with(ReceiptEntry::new);

@@ -13,7 +13,7 @@
 //! * [`wire`] — a length-prefixed JSON frame codec with size limits.
 //! * [`transport`] — pluggable transports behind one abstraction: real TCP
 //!   for production, and an in-process fault-injecting simulator
-//!   ([`transport::SimNet`]) with per-link drop/delay/jitter plans,
+//!   ([`transport::SimNet`]) with a seeded drop/delay/jitter plan,
 //!   partition/heal, and connection kill for deterministic protocol tests.
 //! * [`testkit`] — the deterministic multi-node harness: N nodes on a
 //!   seeded `SimNet` under paused tokio time, with topology wiring,

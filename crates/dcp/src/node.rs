@@ -3,7 +3,7 @@
 //!
 //! Concurrency layout (one node):
 //!
-//! * an **accept loop** task owning the [`Listener`];
+//! * an **accept loop** task owning the [`crate::transport::Listener`];
 //! * a **dialer task** draining a queue of addresses to (re)connect, each
 //!   dial retrying with capped exponential backoff ([`BackoffConfig`]);
 //! * per connection, a **reader task** (dispatches inbound frames) and a
@@ -630,9 +630,10 @@ fn apply_item(st: &mut State, config: &NodeConfig, id: &str, item: &GossipItem) 
         }
         GossipItem::Settlement(note) => {
             let bytes = SettlementNote::signing_bytes(note.epoch, &note.proposer, &note.transfers);
-            if !config.keys.verify(&note.proposer, &bytes, &note.signature) {
-                st.rejected += 1;
-            } else if st.ledger.apply_settlement_note(note) == SettlementOutcome::Rejected {
+            // Short-circuit: a note with a bad signature never reaches the ledger.
+            if !config.keys.verify(&note.proposer, &bytes, &note.signature)
+                || st.ledger.apply_settlement_note(note) == SettlementOutcome::Rejected
+            {
                 st.rejected += 1;
             }
         }

@@ -445,81 +445,3 @@ mod audit_tests {
         assert!(audit_published_elements(&sc, 1, "ghost", &obs, 1.0).is_none());
     }
 }
-
-/// Build the shared [`Scenario`] from a validated constellation manifest —
-/// the boot path of a real node: read the manifest, verify it, and derive
-/// all physics state from it.
-pub fn scenario_from_manifest(
-    manifest: &mpleo::manifest::ConstellationManifest,
-) -> Result<Scenario, mpleo::manifest::ManifestErrors> {
-    manifest.validate()?;
-    let mut sc = Scenario::new(manifest.epoch());
-    sc.min_elevation_deg = manifest.policies.min_elevation_deg;
-    for s in &manifest.satellites {
-        sc.add_satellite(s.sat_id, s.elements);
-    }
-    for g in &manifest.ground_stations {
-        sc.add_ground_station(
-            g.party.clone(),
-            GroundSite::from_degrees(g.name.clone(), g.lat_deg, g.lon_deg),
-        );
-    }
-    Ok(sc)
-}
-
-#[cfg(test)]
-mod manifest_tests {
-    use super::*;
-    use mpleo::manifest::*;
-    use mpleo::party::PartyKind;
-
-    fn manifest() -> ConstellationManifest {
-        ConstellationManifest {
-            name: "x".into(),
-            epoch_utc: (2024, 6, 1, 0, 0, 0.0),
-            parties: vec![
-                ManifestParty { id: "a".into(), kind: PartyKind::Country },
-                ManifestParty { id: "b".into(), kind: PartyKind::Company },
-            ],
-            satellites: vec![ManifestSatellite {
-                sat_id: 7,
-                name: "SAT-7".into(),
-                owner: "a".into(),
-                elements: ClassicalElements::circular(550.0, 53f64.to_radians(), 0.0, 0.0),
-            }],
-            ground_stations: vec![ManifestGroundStation {
-                party: "b".into(),
-                name: "gs-b".into(),
-                lat_deg: 25.0,
-                lon_deg: 121.5,
-            }],
-            policies: ManifestPolicies { poc_quorum: 2, control_quorum: 2, min_elevation_deg: 30.0 },
-        }
-    }
-
-    #[test]
-    fn scenario_derived_from_manifest() {
-        let sc = scenario_from_manifest(&manifest()).expect("valid manifest");
-        assert_eq!(sc.min_elevation_deg, 30.0);
-        assert!(sc.satellites.contains_key(&7));
-        assert!(sc.ground_stations.contains_key("b"));
-        assert_eq!(sc.epoch.ymd(), (2024, 6, 1));
-        // The derived scenario actually computes physics.
-        assert!(sc.computed_elevation_deg(7, "b", 0.0).is_some());
-    }
-
-    #[test]
-    fn invalid_manifest_refused() {
-        let mut m = manifest();
-        m.satellites[0].owner = "ghost".into();
-        assert!(scenario_from_manifest(&m).is_err());
-    }
-
-    #[test]
-    fn manifest_json_to_scenario_end_to_end() {
-        let text = manifest().to_json();
-        let parsed = ConstellationManifest::from_json(&text).unwrap();
-        let sc = scenario_from_manifest(&parsed).unwrap();
-        assert_eq!(sc.satellites.len(), 1);
-    }
-}

@@ -8,7 +8,7 @@
 //! * [`Transport::Tcp`] — the production path: length-prefixed frames over
 //!   real sockets (identical behavior to the pre-abstraction code);
 //! * [`Transport::Sim`] — an in-process network ([`SimNet`]) whose links
-//!   inject faults from a per-link [`FaultPlan`]: seeded-RNG message drop,
+//!   inject faults from the network's [`FaultPlan`]: seeded-RNG message drop,
 //!   fixed + jittered delay, bandwidth-free partition/heal, and connection
 //!   kill. Everything is driven by tokio timers, so under
 //!   `tokio::time::pause()` whole protocol scenarios run deterministically
@@ -33,7 +33,8 @@ use tokio::net::tcp::{OwnedReadHalf, OwnedWriteHalf};
 use tokio::net::{TcpListener, TcpStream};
 use tokio::sync::{mpsc, watch};
 
-/// Per-link fault injection parameters. The default plan is a perfect link.
+/// Fault injection parameters, applied to every link. The default plan is a
+/// perfect link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Probability in `[0, 1]` that a message is silently dropped.
@@ -73,7 +74,6 @@ struct SimInner {
     next_host: u32,
     listeners: HashMap<SocketAddr, mpsc::UnboundedSender<Connection>>,
     default_plan: FaultPlan,
-    link_plans: HashMap<(SocketAddr, SocketAddr), FaultPlan>,
     blocked: HashSet<(SocketAddr, SocketAddr)>,
     links: Vec<LinkCtl>,
     delivered: u64,
@@ -83,11 +83,11 @@ struct SimInner {
 }
 
 /// The in-process simulated network: address allocation, listener registry,
-/// per-link fault plans, partitions, and a delivery event log.
+/// one network-wide fault plan, partitions, and a delivery event log.
 ///
 /// All nodes sharing one `Arc<SimNet>` can reach each other; links are
 /// keyed by the *listen* addresses of their endpoints, which is also the
-/// key used for [`SimNet::set_link_fault`] and [`SimNet::partition`].
+/// key used for [`SimNet::partition`].
 pub struct SimNet {
     seed: u64,
     inner: Mutex<SimInner>,
@@ -103,7 +103,6 @@ impl SimNet {
                 next_host: 1,
                 listeners: HashMap::new(),
                 default_plan: FaultPlan::default(),
-                link_plans: HashMap::new(),
                 blocked: HashSet::new(),
                 links: Vec::new(),
                 delivered: 0,
@@ -119,21 +118,9 @@ impl SimNet {
         Transport::Sim(self.clone())
     }
 
-    /// Set the fault plan applied to every link without a specific plan.
+    /// Set the fault plan applied to every link.
     pub fn set_default_fault(&self, plan: FaultPlan) {
         self.inner.lock().default_plan = plan;
-    }
-
-    /// Set the fault plan for the directional link `src -> dst`.
-    pub fn set_link_fault(&self, src: SocketAddr, dst: SocketAddr, plan: FaultPlan) {
-        self.inner.lock().link_plans.insert((src, dst), plan);
-    }
-
-    /// Set the fault plan for both directions between `a` and `b`.
-    pub fn set_link_fault_bidir(&self, a: SocketAddr, b: SocketAddr, plan: FaultPlan) {
-        let mut inner = self.inner.lock();
-        inner.link_plans.insert((a, b), plan);
-        inner.link_plans.insert((b, a), plan);
     }
 
     /// Partition the network between `left` and `right`: every message
@@ -244,11 +231,6 @@ impl SimNet {
         Ok(Connection { reader: ConnReader::Sim(rev_rx), writer: ConnWriter::Sim(fwd_tx) })
     }
 
-    fn plan_for(&self, src: SocketAddr, dst: SocketAddr) -> FaultPlan {
-        let inner = self.inner.lock();
-        inner.link_plans.get(&(src, dst)).copied().unwrap_or(inner.default_plan)
-    }
-
     fn is_blocked(&self, src: SocketAddr, dst: SocketAddr) -> bool {
         self.inner.lock().blocked.contains(&(src, dst))
     }
@@ -316,7 +298,7 @@ fn sim_link(
                 Ok(Some(m)) => m,
                 _ => break, // a malformed frame closes the link, as on TCP
             };
-            let plan = net.plan_for(src, dst);
+            let plan = net.inner.lock().default_plan;
             // Draw in a fixed order per message so the RNG stream is
             // scenario-deterministic.
             let dropped =

@@ -97,15 +97,6 @@ impl Region {
         }
         sites
     }
-
-    /// Approximate area of the bounding box, km^2 (spherical).
-    pub fn area_km2(&self) -> f64 {
-        let r = orbital::EARTH_RADIUS_KM;
-        let dlat = (self.lat_max_deg - self.lat_min_deg).to_radians();
-        let dlon = (self.lon_max_deg - self.lon_min_deg).to_radians();
-        let mean_lat = ((self.lat_max_deg + self.lat_min_deg) / 2.0).to_radians();
-        r * r * dlat * dlon * mean_lat.cos()
-    }
 }
 
 #[cfg(test)]
@@ -145,14 +136,6 @@ mod tests {
         let lats: Vec<f64> = g.iter().map(|s| s.geodetic.latitude_deg()).collect();
         assert!(lats.iter().any(|&l| (l - r.lat_min_deg).abs() < 1e-9));
         assert!(lats.iter().any(|&l| (l - r.lat_max_deg).abs() < 1e-9));
-    }
-
-    #[test]
-    fn taiwan_area_plausible() {
-        // Bounding box is bigger than the island (~36k km^2) but far
-        // smaller than a continent.
-        let a = Region::taiwan().area_km2();
-        assert!(a > 50_000.0 && a < 150_000.0, "area {a}");
     }
 
     #[test]

@@ -115,14 +115,6 @@ impl TimeBitset {
         }
     }
 
-    /// `self &= !other` (remove the steps set in `other`).
-    pub fn difference_assign(&mut self, other: &TimeBitset) {
-        assert_eq!(self.len, other.len, "bitset length mismatch");
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a &= !b;
-        }
-    }
-
     /// Element-wise complement.
     pub fn complement(&self) -> TimeBitset {
         let mut out = TimeBitset {
@@ -131,15 +123,6 @@ impl TimeBitset {
         };
         out.clear_tail();
         out
-    }
-
-    /// Union of an iterator of bitsets; `len` is used when empty.
-    pub fn union_of<'a>(sets: impl IntoIterator<Item = &'a TimeBitset>, len: usize) -> TimeBitset {
-        let mut acc = TimeBitset::zeros(len);
-        for s in sets {
-            acc.union_assign(s);
-        }
-        acc
     }
 
     /// Number of steps set in both `self` and `other`, without allocating.
@@ -171,16 +154,6 @@ impl TimeBitset {
     /// Runs of consecutive clear steps (coverage *gaps*).
     pub fn runs_of_zeros(&self) -> Vec<Run> {
         self.runs(false)
-    }
-
-    /// Length (in steps) of the longest run of clear steps.
-    pub fn longest_zero_run(&self) -> usize {
-        self.runs_of_zeros().iter().map(Run::len).max().unwrap_or(0)
-    }
-
-    /// Length (in steps) of the longest run of set steps.
-    pub fn longest_one_run(&self) -> usize {
-        self.runs_of_ones().iter().map(Run::len).max().unwrap_or(0)
     }
 
     fn runs(&self, ones: bool) -> Vec<Run> {
@@ -273,28 +246,9 @@ mod tests {
         let mut i = a.clone();
         i.intersect_assign(&b);
         assert_eq!(i.count_ones(), 32);
-        let mut d = a.clone();
-        d.difference_assign(&b);
-        assert_eq!(d.count_ones(), 32);
         assert_eq!(a.intersection_count(&b), 32);
         assert_eq!(a.marginal_gain(&b), 32);
         assert_eq!(u.marginal_gain(&a), 0);
-    }
-
-    #[test]
-    fn union_of_many() {
-        let sets: Vec<TimeBitset> = (0..5)
-            .map(|i| {
-                let mut s = TimeBitset::zeros(50);
-                s.set(i * 10);
-                s
-            })
-            .collect();
-        let u = TimeBitset::union_of(sets.iter(), 50);
-        assert_eq!(u.count_ones(), 5);
-        let empty = TimeBitset::union_of(std::iter::empty(), 50);
-        assert_eq!(empty.count_ones(), 0);
-        assert_eq!(empty.len(), 50);
     }
 
     #[test]
@@ -315,16 +269,14 @@ mod tests {
             Run { start: 9, end: 15 },
             Run { start: 16, end: 20 }
         ]);
-        assert_eq!(b.longest_zero_run(), 6);
-        assert_eq!(b.longest_one_run(), 3);
     }
 
     #[test]
     fn runs_edge_cases() {
         assert!(TimeBitset::zeros(10).runs_of_ones().is_empty());
-        assert_eq!(TimeBitset::zeros(10).longest_zero_run(), 10);
+        assert_eq!(TimeBitset::zeros(10).runs_of_zeros(), vec![Run { start: 0, end: 10 }]);
         assert_eq!(TimeBitset::ones(10).runs_of_ones(), vec![Run { start: 0, end: 10 }]);
-        assert_eq!(TimeBitset::zeros(0).longest_zero_run(), 0);
+        assert!(TimeBitset::zeros(0).runs_of_zeros().is_empty());
     }
 
     #[test]

@@ -67,15 +67,6 @@ pub fn population_weighted_coverage(
         .sum()
 }
 
-/// Population-weighted *fraction* of time covered, `[0, 1]`.
-pub fn population_weighted_fraction(
-    per_site_coverage: &[TimeBitset],
-    weights: &[f64],
-) -> f64 {
-    assert_eq!(per_site_coverage.len(), weights.len(), "site/weight count mismatch");
-    per_site_coverage.iter().zip(weights).map(|(c, w)| w * c.fraction_ones()).sum()
-}
-
 /// Aggregate of repeated scalar measurements (Monte-Carlo outputs).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Aggregate {
@@ -168,11 +159,9 @@ mod tests {
             a.set(k);
         }
         let b = TimeBitset::ones(100);
-        let cov = population_weighted_coverage(&[a.clone(), b.clone()], &[0.5, 0.5], &g);
+        let cov = population_weighted_coverage(&[a, b], &[0.5, 0.5], &g);
         // 0.5*3000s + 0.5*6000s = 4500s.
         assert!((cov - 4500.0).abs() < 1e-9);
-        let frac = population_weighted_fraction(&[a, b], &[0.5, 0.5]);
-        assert!((frac - 0.75).abs() < 1e-12);
     }
 
     #[test]

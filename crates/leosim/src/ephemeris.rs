@@ -34,14 +34,13 @@ use orbital::constellation::Satellite;
 use orbital::frames::eci_to_ecef;
 use orbital::propagator::{KeplerJ2, Propagator, Sgp4};
 use orbital::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// A columnar table of ECEF positions for a satellite pool over a time grid.
 ///
 /// Layout: coordinate `c` of satellite `sat` at step `k` lives at index
 /// `sat * grid.steps + k` of the `c` column. Satellite order matches the
 /// slice the store was built from; `sat_ids` records their stable IDs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EphemerisStore {
     /// The time grid the positions are sampled on.
     pub grid: TimeGrid,

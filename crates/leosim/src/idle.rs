@@ -7,7 +7,6 @@
 //! time, and that idle time falls as the served set grows toward global
 //! coverage — the core utilization argument for MP-LEO.
 
-use crate::coverage::Aggregate;
 use crate::visibility::VisibilityTable;
 use serde::{Deserialize, Serialize};
 
@@ -42,13 +41,6 @@ pub fn idle_per_satellite(vt: &VisibilityTable, served_sites: &[usize]) -> Vec<S
 pub fn mean_idle_fraction(vt: &VisibilityTable, served_sites: &[usize]) -> f64 {
     let per_sat = idle_per_satellite(vt, served_sites);
     per_sat.iter().map(|s| s.idle_fraction).sum::<f64>() / per_sat.len().max(1) as f64
-}
-
-/// Aggregate idle fractions across the constellation.
-pub fn idle_aggregate(vt: &VisibilityTable, served_sites: &[usize]) -> Aggregate {
-    let per_sat = idle_per_satellite(vt, served_sites);
-    let samples: Vec<f64> = per_sat.iter().map(|s| s.idle_fraction).collect();
-    Aggregate::from_samples(&samples)
 }
 
 #[cfg(test)]
@@ -98,14 +90,6 @@ mod tests {
             assert!((s.idle_fraction + s.busy_fraction - 1.0).abs() < 1e-12);
             assert!((0.0..=1.0).contains(&s.idle_fraction));
         }
-    }
-
-    #[test]
-    fn aggregate_bounds() {
-        let vt = table(3);
-        let agg = idle_aggregate(&vt, &[0, 1, 2]);
-        assert_eq!(agg.n, 6);
-        assert!(agg.min <= agg.mean && agg.mean <= agg.max);
     }
 
     #[test]

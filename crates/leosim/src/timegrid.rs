@@ -34,11 +34,6 @@ impl TimeGrid {
         TimeGrid { start, step_s, steps, gmst }
     }
 
-    /// Convenience: a one-week grid (the paper's horizon) at the given step.
-    pub fn one_week(start: Epoch, step_s: f64) -> Self {
-        TimeGrid::new(start, 7.0 * 86_400.0, step_s)
-    }
-
     /// The epoch of step `k`.
     pub fn epoch_at(&self, k: usize) -> Epoch {
         debug_assert!(k < self.steps);
@@ -59,12 +54,6 @@ impl TimeGrid {
     /// Seconds represented by `n` grid steps.
     pub fn steps_to_seconds(&self, n: usize) -> f64 {
         n as f64 * self.step_s
-    }
-
-    /// Minutes offset of step `k` from the grid start.
-    #[inline]
-    pub fn minutes_at(&self, k: usize) -> f64 {
-        k as f64 * self.step_s / 60.0
     }
 
     /// Iterate `(step_index, epoch)` pairs.
@@ -89,17 +78,10 @@ mod tests {
     }
 
     #[test]
-    fn one_week_grid() {
-        let g = TimeGrid::one_week(start(), 60.0);
-        assert_eq!(g.steps, 7 * 1440 + 1);
-    }
-
-    #[test]
     fn epochs_line_up() {
         let g = TimeGrid::new(start(), 3600.0, 30.0);
         let e10 = g.epoch_at(10);
         assert!((e10.seconds_since(&start()) - 300.0).abs() < 1e-9);
-        assert!((g.minutes_at(10) - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -255,6 +255,17 @@ mod tests {
     }
 
     #[test]
+    fn equatorial_orbit_never_seen_from_high_latitude() {
+        let sats = single_plane(4, 550.0, 0.0, epoch());
+        let sites = [GroundSite::from_degrees("Oslo", 59.9, 10.7)];
+        let grid = TimeGrid::new(epoch(), 86_400.0, 30.0);
+        let vt = VisibilityTable::compute(&sats, &sites, &grid, &SimConfig::default());
+        for s in 0..sats.len() {
+            assert_eq!(vt.bitset(s, 0).count_ones(), 0, "sat {s}");
+        }
+    }
+
+    #[test]
     fn thread_counts_agree() {
         let sats = single_plane(6, 550.0, 53.0, epoch());
         let sites = [taipei(), GroundSite::from_degrees("Tokyo", 35.69, 139.69)];

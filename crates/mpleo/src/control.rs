@@ -210,11 +210,6 @@ impl ControlGroup {
         self.proposals.get(&id)
     }
 
-    /// Number of member parties.
-    pub fn member_count(&self) -> usize {
-        self.members.len()
-    }
-
     /// Digest of the executed-command log (for cross-replica comparison).
     pub fn log_digest(&self) -> u64 {
         // FNV-1a over the executed ids: cheap and deterministic.

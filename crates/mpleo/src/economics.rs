@@ -49,12 +49,6 @@ impl CostModel {
         let ops = self.annual_ops_per_sat_musd * sats as f64 * years;
         deploy + replacement + ops
     }
-
-    /// Annualized cost per satellite, $M/yr.
-    pub fn annual_per_sat_musd(&self) -> f64 {
-        (self.sat_capex_musd + self.launch_per_sat_musd) / self.design_life_years
-            + self.annual_ops_per_sat_musd
-    }
 }
 
 /// One row of a cost-of-coverage comparison.
@@ -186,12 +180,5 @@ mod tests {
         let many = mp_leo_share(&curve(), 0.99, 20, &m).unwrap();
         assert!(many.cost_10yr_musd < few.cost_10yr_musd);
         assert_eq!(many.effective_sats, few.effective_sats);
-    }
-
-    #[test]
-    fn annualized_cost_sane() {
-        let m = CostModel::default();
-        // (0.5 + 1.0)/5 + 0.1 = 0.4 $M/yr per satellite.
-        assert!((m.annual_per_sat_musd() - 0.4).abs() < 1e-12);
     }
 }

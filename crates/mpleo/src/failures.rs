@@ -25,17 +25,6 @@ pub struct FailureModel {
     pub batch_size: usize,
 }
 
-impl FailureModel {
-    /// A harsh test model: ~2-year MTBF, quarterly launches of 10.
-    pub fn harsh() -> FailureModel {
-        FailureModel {
-            mtbf_s: 2.0 * 365.25 * 86_400.0,
-            launch_interval_s: 91.0 * 86_400.0,
-            batch_size: 10,
-        }
-    }
-}
-
 /// The alive-set trajectory of one simulated run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FailureRun {
@@ -220,7 +209,12 @@ mod tests {
     fn deterministic_per_seed() {
         let vt = table();
         let idx: Vec<usize> = (0..vt.sat_count()).collect();
-        let model = FailureModel::harsh();
+        // ~2-year MTBF, quarterly launches of 10.
+        let model = FailureModel {
+            mtbf_s: 2.0 * 365.25 * 86_400.0,
+            launch_interval_s: 91.0 * 86_400.0,
+            batch_size: 10,
+        };
         let a = simulate_failures(&vt, &idx, 0, &model, 12, 5);
         let b = simulate_failures(&vt, &idx, 0, &model, 12, 5);
         assert_eq!(a.failures, b.failures);

@@ -45,13 +45,6 @@ impl HandoverTrace {
             self.handovers as f64 / hours
         }
     }
-
-    /// Mean dwell time on a satellite between switches, seconds.
-    pub fn mean_dwell_s(&self, step_s: f64) -> f64 {
-        // Dwell segments = connected runs split at handovers.
-        let segments = self.handovers + self.outages.max(1);
-        self.connected_steps as f64 * step_s / segments as f64
-    }
 }
 
 /// Replay the serving sequence of `site` under `policy` over the subset
@@ -156,13 +149,11 @@ mod tests {
     }
 
     #[test]
-    fn dwell_times_minutes_scale() {
+    fn handover_rate_plausible() {
         let vt = table();
         let idx: Vec<usize> = (0..vt.sat_count()).collect();
         let trace = simulate_handover(&vt, 0, &idx, HandoverPolicy::StickyMaxDwell);
         if trace.connected_steps > 0 && trace.handovers > 0 {
-            let dwell = trace.mean_dwell_s(60.0);
-            assert!(dwell > 60.0 && dwell < 30.0 * 60.0, "dwell {dwell} s");
             let rate = trace.handover_rate_per_hour(60.0);
             assert!(rate > 0.1 && rate < 60.0, "rate {rate}/h");
         }

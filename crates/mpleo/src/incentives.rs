@@ -1,13 +1,15 @@
-//! Participation incentives: proof-of-coverage rewards, pricing models, and
-//! settlement between consumer and provider parties (the paper's §3.2).
+//! Participation incentives: pricing models and settlement between
+//! consumer and provider parties (the paper's §3.2).
 //!
 //! The model mirrors the Helium-style structure the paper cites:
 //!
 //! * providers earn for *carrying traffic* in proportion to utilization;
-//! * ground stations at random locations earn small *proof-of-coverage*
-//!   verification rewards for pinging satellites overhead;
 //! * prices are either predetermined (fixed) or dynamically set by scarcity
 //!   (an open data market).
+//!
+//! Proof-of-coverage rewards are `dcp::ledger`'s; capacity-limited
+//! scheduling and spare-capacity accounting are `traffic::allocate` and
+//! `TrafficReport::party_spare`.
 
 use crate::party::PartyId;
 use leosim::visibility::VisibilityTable;
@@ -62,9 +64,9 @@ pub struct ServiceRecord {
 }
 
 /// Generate service records by assigning, at every step, each site to the
-/// lowest-indexed visible satellite of the subset (a deterministic stand-in
-/// for the capacity scheduler; see [`crate::capacity`] for the loaded
-/// version).
+/// lowest-indexed visible satellite of the subset (a deterministic,
+/// capacity-free stand-in for a scheduler; the loaded version is
+/// `traffic::allocate`).
 pub fn service_records(vt: &VisibilityTable, sat_indices: &[usize]) -> Vec<ServiceRecord> {
     let mut out = Vec::new();
     for site in 0..vt.site_count() {
@@ -138,51 +140,6 @@ pub fn visible_count_matrix(vt: &VisibilityTable, sat_indices: &[usize]) -> Vec<
             counts
         })
         .collect()
-}
-
-/// Proof-of-coverage verification rewards: each verifier site earns
-/// `reward_per_beacon` for every (satellite, step) it can attest (satellite
-/// above its mask), paid from a network reward pool to the *satellite
-/// owner* and a fixed fraction to the verifier's operator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PocRewards {
-    /// Credits earned by each satellite-owning party for proven coverage.
-    pub provider_rewards: HashMap<PartyId, f64>,
-    /// Credits earned by each verifier party.
-    pub verifier_rewards: HashMap<PartyId, f64>,
-    /// Number of beacons attested.
-    pub beacons: usize,
-}
-
-/// Compute proof-of-coverage rewards over a visibility table.
-///
-/// `verifier_owner[site]` maps verifier ground stations to their operators.
-pub fn poc_rewards(
-    vt: &VisibilityTable,
-    sat_indices: &[usize],
-    sat_owner: &HashMap<usize, PartyId>,
-    verifier_owner: &HashMap<usize, PartyId>,
-    reward_per_beacon: f64,
-    verifier_share: f64,
-) -> PocRewards {
-    assert!((0.0..=1.0).contains(&verifier_share), "share must be a fraction");
-    let mut provider_rewards: HashMap<PartyId, f64> = HashMap::new();
-    let mut verifier_rewards: HashMap<PartyId, f64> = HashMap::new();
-    let mut beacons = 0usize;
-    for &s in sat_indices {
-        let owner = sat_owner.get(&s).expect("satellite has an owner");
-        for (site, verifier) in verifier_owner {
-            let proven = vt.bitset(s, *site).count_ones();
-            if proven == 0 {
-                continue;
-            }
-            beacons += proven;
-            let total = reward_per_beacon * proven as f64;
-            *provider_rewards.entry(owner.clone()).or_default() += total * (1.0 - verifier_share);
-            *verifier_rewards.entry(verifier.clone()).or_default() += total * verifier_share;
-        }
-    }
-    PocRewards { provider_rewards, verifier_rewards, beacons }
 }
 
 #[cfg(test)]
@@ -315,38 +272,5 @@ mod tests {
                 assert_eq!(counts[site][step], manual);
             }
         }
-    }
-
-    #[test]
-    fn poc_rewards_split() {
-        let vt = table();
-        let idx: Vec<usize> = (0..6).collect();
-        let (sat_owner, _) = owners();
-        let verifier_owner: HashMap<usize, PartyId> =
-            [(0usize, PartyId::new("v1")), (1usize, PartyId::new("v2"))].into();
-        let r = poc_rewards(&vt, &idx, &sat_owner, &verifier_owner, 0.1, 0.2);
-        assert!(r.beacons > 0);
-        let provider_total: f64 = r.provider_rewards.values().sum();
-        let verifier_total: f64 = r.verifier_rewards.values().sum();
-        let total = provider_total + verifier_total;
-        assert!((total - 0.1 * r.beacons as f64).abs() < 1e-9);
-        assert!((verifier_total / total - 0.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn more_stake_more_rewards() {
-        // A party owning more satellites earns more PoC rewards — the
-        // paper's "participants with more satellites ... earn more money".
-        let vt = table();
-        let mut sat_owner = HashMap::new();
-        for s in 0..6 {
-            sat_owner.insert(s, PartyId::new(if s < 5 { "big" } else { "small" }));
-        }
-        let verifier_owner: HashMap<usize, PartyId> = [(0usize, PartyId::new("v"))].into();
-        let idx: Vec<usize> = (0..6).collect();
-        let r = poc_rewards(&vt, &idx, &sat_owner, &verifier_owner, 1.0, 0.0);
-        let big = r.provider_rewards.get(&PartyId::new("big")).copied().unwrap_or(0.0);
-        let small = r.provider_rewards.get(&PartyId::new("small")).copied().unwrap_or(0.0);
-        assert!(big > small, "big {big} vs small {small}");
     }
 }

@@ -17,10 +17,8 @@
 //! * [`robustness`] — withdrawal experiments: random half-constellation
 //!   withdrawal (Fig. 5) and largest-party withdrawal under skewed stakes
 //!   (Fig. 6).
-//! * [`incentives`] — proof-of-coverage accounting, pricing models, and
-//!   epoch settlement between consumer and provider parties.
-//! * [`capacity`] — per-satellite capacity, terminal-to-satellite
-//!   assignment, and spare-capacity (utilization) accounting.
+//! * [`incentives`] — pricing models and epoch settlement between consumer
+//!   and provider parties.
 //!
 //! ## Quick example
 //!
@@ -45,7 +43,6 @@
 #![deny(unsafe_code)]
 
 pub mod bootstrap;
-pub mod capacity;
 pub mod control;
 pub mod downlink;
 pub mod economics;

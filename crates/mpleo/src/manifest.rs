@@ -154,11 +154,6 @@ impl ConstellationManifest {
             Err(ManifestErrors(errors))
         }
     }
-
-    /// Satellite indices owned by a party.
-    pub fn satellites_of(&self, party: &str) -> Vec<&ManifestSatellite> {
-        self.satellites.iter().filter(|s| s.owner == party).collect()
-    }
 }
 
 #[cfg(test)]
@@ -239,12 +234,5 @@ mod tests {
         m.policies.poc_quorum = 99;
         let text = m.to_json();
         assert!(ConstellationManifest::from_json(&text).is_err());
-    }
-
-    #[test]
-    fn ownership_query() {
-        let m = manifest();
-        assert_eq!(m.satellites_of("taiwan").len(), 1);
-        assert_eq!(m.satellites_of("nobody").len(), 0);
     }
 }

@@ -79,11 +79,6 @@ impl ConstellationRegistry {
         self.parties.iter().find(|p| &p.id == id)
     }
 
-    /// Stake fraction of a party, `[0, 1]`.
-    pub fn stake_fraction(&self, id: &PartyId) -> f64 {
-        self.party(id).map(|p| p.stake() as f64 / self.sat_count as f64).unwrap_or(0.0)
-    }
-
     /// Satellite indices remaining if `id` withdraws.
     ///
     /// Hot path for the robustness and churn experiments, which withdraw
@@ -176,7 +171,6 @@ mod tests {
         );
         let big = reg.largest_party();
         assert_eq!(big.stake(), 500);
-        assert!((reg.stake_fraction(&big.id) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -47,19 +47,6 @@ impl ShellSpec {
         }
     }
 
-    /// The shell used in the paper's Fig. 4b/4c studies: 53 degrees, 546 km.
-    pub fn paper_plane() -> ShellSpec {
-        ShellSpec {
-            name: "PAPER".to_string(),
-            altitude_km: 546.0,
-            inclination_deg: 53.0,
-            planes: 1,
-            sats_per_plane: 12,
-            phasing: 0,
-            raan_offset_deg: 0.0,
-        }
-    }
-
     /// Total number of satellites in the shell.
     pub fn count(&self) -> u32 {
         self.planes * self.sats_per_plane
@@ -98,22 +85,12 @@ impl Satellite {
 /// within a plane, satellites are evenly spaced in mean anomaly; the
 /// inter-plane phasing follows the Walker `F` parameter.
 pub fn walker_delta(spec: &ShellSpec, epoch: Epoch) -> Vec<Satellite> {
-    walker(spec, epoch, 360.0)
-}
-
-/// Generate a Walker-star pattern (planes spread over 180 degrees, as used
-/// by polar constellations like Iridium or OneWeb).
-pub fn walker_star(spec: &ShellSpec, epoch: Epoch) -> Vec<Satellite> {
-    walker(spec, epoch, 180.0)
-}
-
-fn walker(spec: &ShellSpec, epoch: Epoch, raan_span_deg: f64) -> Vec<Satellite> {
     let total = spec.count();
     let mut sats = Vec::with_capacity(total as usize);
     let inc = deg_to_rad(spec.inclination_deg);
     let phase_unit = 360.0 / total as f64; // degrees of in-plane phase per F
     for plane in 0..spec.planes {
-        let raan = deg_to_rad(spec.raan_offset_deg + plane as f64 * raan_span_deg / spec.planes as f64);
+        let raan = deg_to_rad(spec.raan_offset_deg + plane as f64 * 360.0 / spec.planes as f64);
         for slot in 0..spec.sats_per_plane {
             let in_plane = 360.0 * slot as f64 / spec.sats_per_plane as f64;
             let walker_phase = spec.phasing as f64 * phase_unit * plane as f64;
@@ -260,17 +237,6 @@ mod tests {
             let raan = rad_to_deg(sats[(p * 3) as usize].elements.raan_rad);
             assert!((raan - p as f64 * 45.0).abs() < 1e-9, "plane {p}: raan {raan}");
         }
-    }
-
-    #[test]
-    fn star_pattern_spans_half() {
-        let spec = ShellSpec { planes: 6, sats_per_plane: 2, ..ShellSpec::starlink_like() };
-        let sats = walker_star(&spec, epoch());
-        let max_raan = sats
-            .iter()
-            .map(|s| rad_to_deg(s.elements.raan_rad))
-            .fold(0.0f64, f64::max);
-        assert!(max_raan < 180.0, "max raan {max_raan}");
     }
 
     #[test]

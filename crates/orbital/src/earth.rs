@@ -18,18 +18,6 @@ pub const EARTH_ECC2: f64 = EARTH_FLATTENING * (2.0 - EARTH_FLATTENING);
 /// Second zonal harmonic J2 of Earth's gravity field (EGM-96).
 pub const EARTH_J2: f64 = 1.082_626_68e-3;
 
-/// Third zonal harmonic J3 (EGM-96). Used by SGP4's long-period terms.
-pub const EARTH_J3: f64 = -2.532_65e-6;
-
-/// Fourth zonal harmonic J4 (EGM-96).
-pub const EARTH_J4: f64 = -1.619_62e-6;
-
-/// Earth rotation rate, rad/s (sidereal).
-pub const EARTH_ROTATION_RAD_S: f64 = 7.292_115_146_706_979e-5;
-
-/// Sidereal day length in seconds.
-pub const SIDEREAL_DAY_S: f64 = 86164.0905;
-
 /// Solar day length in seconds.
 pub const SOLAR_DAY_S: f64 = 86400.0;
 
@@ -49,18 +37,6 @@ pub const SGP4_J3: f64 = -2.538_81e-6;
 
 /// SGP4/WGS-72 J4.
 pub const SGP4_J4: f64 = -1.655_97e-6;
-
-/// Orbital period of a circular orbit at the given altitude above the mean
-/// equatorial radius, in seconds.
-///
-/// ```
-/// let p = orbital::earth::circular_period_s(550.0);
-/// assert!((p / 60.0 - 95.6).abs() < 0.5); // Starlink-ish: ~95.6 minutes
-/// ```
-pub fn circular_period_s(altitude_km: f64) -> f64 {
-    let a = EARTH_RADIUS_KM + altitude_km;
-    2.0 * std::f64::consts::PI * (a * a * a / EARTH_MU_KM3_S2).sqrt()
-}
 
 /// Circular orbital speed at the given altitude, km/s.
 pub fn circular_speed_km_s(altitude_km: f64) -> f64 {
@@ -84,13 +60,6 @@ pub fn mean_motion_from_sma(sma_km: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn iss_like_period() {
-        // ISS at ~420 km: period ~92.8 min.
-        let p = circular_period_s(420.0) / 60.0;
-        assert!((p - 92.8).abs() < 0.5, "period {p}");
-    }
 
     #[test]
     fn leo_speed() {

@@ -43,17 +43,6 @@ impl Geodetic {
     pub fn longitude_deg(&self) -> f64 {
         rad_to_deg(self.longitude_rad)
     }
-
-    /// Great-circle distance to another geodetic point along the mean-radius
-    /// sphere, km. Adequate for the city-spacing sanity checks; not meant for
-    /// geodesy-grade work.
-    pub fn haversine_km(&self, other: &Geodetic) -> f64 {
-        let dlat = other.latitude_rad - self.latitude_rad;
-        let dlon = other.longitude_rad - self.longitude_rad;
-        let a = (dlat / 2.0).sin().powi(2)
-            + self.latitude_rad.cos() * other.latitude_rad.cos() * (dlon / 2.0).sin().powi(2);
-        2.0 * EARTH_RADIUS_KM * a.sqrt().asin()
-    }
 }
 
 /// Topocentric look angles from a ground site to a target.
@@ -289,15 +278,6 @@ mod tests {
             let s = sin_elevation(site_e, z, sat);
             assert!((s - la.elevation_rad.sin()).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn haversine_known_distance() {
-        // Taipei to Melbourne is roughly 7370 km.
-        let taipei = Geodetic::from_degrees(25.03, 121.56, 0.0);
-        let melb = Geodetic::from_degrees(-37.81, 144.96, 0.0);
-        let d = taipei.haversine_km(&melb);
-        assert!((d - 7370.0).abs() < 100.0, "distance {d}");
     }
 
     #[test]

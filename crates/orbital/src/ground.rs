@@ -1,4 +1,4 @@
-//! Ground sites, visibility predicates, and pass prediction.
+//! Ground sites and their visibility predicate.
 //!
 //! A [`GroundSite`] precomputes its ECEF position and zenith direction so
 //! the per-step visibility predicate is a handful of flops — this predicate
@@ -6,8 +6,6 @@
 
 use crate::frames::{geodetic_to_ecef, look_angles, sin_elevation, site_zenith, Geodetic, LookAngles};
 use crate::math::Vec3;
-use crate::propagator::Propagator;
-use crate::time::Epoch;
 use serde::{Deserialize, Serialize};
 
 /// A fixed site on the ground (user terminal, ground station, or receiver).
@@ -39,14 +37,9 @@ impl GroundSite {
         Self::new(name, Geodetic::from_degrees(lat_deg, lon_deg, 0.0))
     }
 
-    /// Is a target at the given ECEF position above `min_elevation_rad`?
-    #[inline]
-    pub fn sees_ecef(&self, target_ecef: Vec3, min_elevation_rad: f64) -> bool {
-        sin_elevation(self.ecef, self.zenith, target_ecef) >= min_elevation_rad.sin()
-    }
-
-    /// Same predicate with the sine of the mask precomputed by the caller
-    /// (the hot loop of the simulator).
+    /// Is a target at the given ECEF position at or above the elevation
+    /// mask? The caller passes the sine of the mask, computed once outside
+    /// the hot loop of the simulator.
     #[inline]
     pub fn sees_ecef_sin(&self, target_ecef: Vec3, sin_mask: f64) -> bool {
         sin_elevation(self.ecef, self.zenith, target_ecef) >= sin_mask
@@ -58,81 +51,10 @@ impl GroundSite {
     }
 }
 
-/// One satellite pass over a site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Pass {
-    /// Rise time (first step at/above the mask).
-    pub rise: Epoch,
-    /// Set time (last step at/above the mask).
-    pub set: Epoch,
-    /// Maximum elevation during the pass, radians.
-    pub max_elevation_rad: f64,
-    /// Epoch of maximum elevation.
-    pub culmination: Epoch,
-}
-
-impl Pass {
-    /// Pass duration in seconds.
-    pub fn duration_s(&self) -> f64 {
-        self.set.seconds_since(&self.rise)
-    }
-}
-
-/// Predict passes of one satellite over a site between `start` and `end`
-/// by sampling every `step_s` seconds against the elevation mask.
-///
-/// The step granularity bounds rise/set accuracy; 10–30 s is plenty for
-/// coverage statistics (LEO passes last several minutes).
-pub fn predict_passes(
-    propagator: &dyn Propagator,
-    site: &GroundSite,
-    start: Epoch,
-    end: Epoch,
-    step_s: f64,
-    min_elevation_deg: f64,
-) -> Vec<Pass> {
-    assert!(step_s > 0.0, "step must be positive");
-    let sin_mask = min_elevation_deg.to_radians().sin();
-    let mut passes = Vec::new();
-    let mut current: Option<(Epoch, Epoch, f64, Epoch)> = None; // rise, last, max_el, culm
-    let steps = (end.seconds_since(&start) / step_s).ceil() as u64;
-    for k in 0..=steps {
-        let t = start.plus_seconds(k as f64 * step_s);
-        let eci = propagator.position_at(t);
-        let ecef = crate::frames::eci_to_ecef(eci, t.gmst());
-        let s = sin_elevation(site.ecef, site.zenith, ecef);
-        if s >= sin_mask {
-            let el = s.clamp(-1.0, 1.0).asin();
-            current = match current {
-                None => Some((t, t, el, t)),
-                Some((rise, _, max_el, culm)) => {
-                    if el > max_el {
-                        Some((rise, t, el, t))
-                    } else {
-                        Some((rise, t, max_el, culm))
-                    }
-                }
-            };
-        } else if let Some((rise, set, max_el, culm)) = current.take() {
-            passes.push(Pass { rise, set, max_elevation_rad: max_el, culmination: culm });
-        }
-    }
-    if let Some((rise, set, max_el, culm)) = current {
-        passes.push(Pass { rise, set, max_elevation_rad: max_el, culmination: culm });
-    }
-    passes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kepler::ClassicalElements;
     use crate::math::deg_to_rad;
-    use crate::propagator::KeplerJ2;
-
-    fn epoch() -> Epoch {
-        Epoch::from_ymdhms(2024, 6, 1, 0, 0, 0.0)
-    }
 
     fn taipei() -> GroundSite {
         GroundSite::from_degrees("Taipei", 25.03, 121.56)
@@ -149,60 +71,8 @@ mod tests {
     fn sees_overhead() {
         let s = taipei();
         let overhead = geodetic_to_ecef(Geodetic::from_degrees(25.03, 121.56, 550.0));
-        assert!(s.sees_ecef(overhead, deg_to_rad(85.0)));
+        assert!(s.sees_ecef_sin(overhead, deg_to_rad(85.0).sin()));
         let far = geodetic_to_ecef(Geodetic::from_degrees(-25.0, -60.0, 550.0));
-        assert!(!s.sees_ecef(far, deg_to_rad(5.0)));
-    }
-
-    #[test]
-    fn pass_prediction_finds_passes() {
-        // An orbit whose plane passes over Taipei's latitude.
-        let el = ClassicalElements::circular(550.0, deg_to_rad(53.0), deg_to_rad(30.0), 0.0);
-        let p = KeplerJ2::from_elements(&el, epoch());
-        let passes = predict_passes(&p, &taipei(), epoch(), epoch().plus_days(1.0), 10.0, 25.0);
-        // At 25 deg mask, a single satellite typically achieves a handful of
-        // short passes per day over a mid-latitude site.
-        assert!(!passes.is_empty(), "expected at least one pass in a day");
-        for pass in &passes {
-            let d = pass.duration_s();
-            assert!(d < 15.0 * 60.0, "pass too long: {d} s");
-            assert!(pass.max_elevation_rad >= deg_to_rad(25.0) - 1e-9);
-            assert!(pass.culmination >= pass.rise && pass.culmination <= pass.set);
-        }
-    }
-
-    #[test]
-    fn total_visible_time_small_fraction() {
-        // Key premise of the paper (Sec. 2): one satellite covers a given
-        // site for only minutes per day.
-        let el = ClassicalElements::circular(550.0, deg_to_rad(53.0), deg_to_rad(30.0), 0.0);
-        let p = KeplerJ2::from_elements(&el, epoch());
-        let passes = predict_passes(&p, &taipei(), epoch(), epoch().plus_days(1.0), 10.0, 25.0);
-        let total: f64 = passes.iter().map(|p| p.duration_s()).sum();
-        assert!(total < 30.0 * 60.0, "visible {total} s in a day");
-    }
-
-    #[test]
-    fn lower_mask_gives_more_coverage() {
-        let el = ClassicalElements::circular(550.0, deg_to_rad(53.0), deg_to_rad(30.0), 0.0);
-        let p = KeplerJ2::from_elements(&el, epoch());
-        let hi: f64 = predict_passes(&p, &taipei(), epoch(), epoch().plus_days(1.0), 10.0, 40.0)
-            .iter()
-            .map(|p| p.duration_s())
-            .sum();
-        let lo: f64 = predict_passes(&p, &taipei(), epoch(), epoch().plus_days(1.0), 10.0, 10.0)
-            .iter()
-            .map(|p| p.duration_s())
-            .sum();
-        assert!(lo > hi, "mask 10deg gives {lo}s vs 40deg {hi}s");
-    }
-
-    #[test]
-    fn equatorial_orbit_never_seen_from_high_latitude() {
-        let el = ClassicalElements::circular(550.0, 0.0, 0.0, 0.0);
-        let p = KeplerJ2::from_elements(&el, epoch());
-        let oslo = GroundSite::from_degrees("Oslo", 59.9, 10.7);
-        let passes = predict_passes(&p, &oslo, epoch(), epoch().plus_days(1.0), 30.0, 25.0);
-        assert!(passes.is_empty());
+        assert!(!s.sees_ecef_sin(far, deg_to_rad(5.0).sin()));
     }
 }

@@ -66,11 +66,6 @@ impl ClassicalElements {
         self.semi_major_axis_km * (1.0 - self.eccentricity) - crate::earth::EARTH_RADIUS_KM
     }
 
-    /// Apogee altitude above the mean equatorial radius, km.
-    pub fn apogee_altitude_km(&self) -> f64 {
-        self.semi_major_axis_km * (1.0 + self.eccentricity) - crate::earth::EARTH_RADIUS_KM
-    }
-
     /// Inertial (ECI/TEME) state vector at the given mean anomaly offset
     /// from epoch, for a pure two-body orbit.
     ///
@@ -357,15 +352,13 @@ mod tests {
     }
 
     #[test]
-    fn apsis_altitudes() {
+    fn perigee_altitude() {
         let el = ClassicalElements {
             semi_major_axis_km: 7000.0,
             eccentricity: 0.01,
             ..starlink_elements()
         };
-        assert!(el.perigee_altitude_km() < el.apogee_altitude_km());
-        let mean = (el.perigee_altitude_km() + el.apogee_altitude_km()) / 2.0;
-        assert!((mean - (7000.0 - EARTH_RADIUS_KM)).abs() < 1e-9);
+        assert!((el.perigee_altitude_km() - (6930.0 - EARTH_RADIUS_KM)).abs() < 1e-9);
     }
 }
 

@@ -17,11 +17,11 @@
 //!   propagator, and a from-scratch SGP4 (near-Earth, Spacetrack Report #3).
 //! * **TLEs** ([`tle`]): parsing, formatting, checksumming, and synthesis of
 //!   Two-Line Element sets, the lingua franca of orbit distribution.
-//! * **Constellations** ([`constellation`]): Walker delta/star generators and
-//!   a Starlink-like multi-shell synthesizer used throughout the MP-LEO
+//! * **Constellations** ([`constellation`]): a Walker delta generator and a
+//!   Starlink-like multi-shell synthesizer used throughout the MP-LEO
 //!   experiments.
-//! * **Ground geometry** ([`ground`]): ground sites, elevation-mask
-//!   visibility predicates, and satellite pass prediction.
+//! * **Ground geometry** ([`ground`]): ground sites and the elevation-mask
+//!   visibility predicate.
 //!
 //! The crate is deliberately dependency-light (only `serde` for data
 //! interchange) so it can serve as the trusted computational base for both

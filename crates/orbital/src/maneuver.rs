@@ -28,14 +28,6 @@ impl ManeuverCost {
     /// The zero-cost maneuver.
     pub const FREE: ManeuverCost = ManeuverCost { delta_v_km_s: 0.0, duration_s: 0.0 };
 
-    /// Sum of two maneuvers executed sequentially.
-    pub fn then(self, next: ManeuverCost) -> ManeuverCost {
-        ManeuverCost {
-            delta_v_km_s: self.delta_v_km_s + next.delta_v_km_s,
-            duration_s: self.duration_s + next.duration_s,
-        }
-    }
-
     /// Propellant mass fraction consumed for this delta-v at a specific
     /// impulse `isp_s` (Tsiolkovsky). Typical electric propulsion:
     /// 1500-2500 s; chemical: ~300 s.
@@ -96,42 +88,6 @@ pub fn phasing(alt_km: f64, delta_phase_rad: f64, revolutions: u32) -> ManeuverC
     }
 }
 
-/// The cheapest-in-delta-v way to change RAAN for a LEO constellation:
-/// don't burn at all — drop to a lower altitude and let differential J2
-/// nodal regression do the work ("nodal drift maneuver"). Returns the wait
-/// time at the drift altitude plus the two Hohmann legs.
-pub fn nodal_drift(
-    alt_km: f64,
-    drift_alt_km: f64,
-    inclination_rad: f64,
-    delta_raan_rad: f64,
-) -> ManeuverCost {
-    use crate::earth::EARTH_J2;
-    let rate = |a_km: f64| -> f64 {
-        let a = EARTH_RADIUS_KM + a_km;
-        let n = (EARTH_MU_KM3_S2 / (a * a * a)).sqrt();
-        -1.5 * EARTH_J2 * (EARTH_RADIUS_KM / a).powi(2) * n * inclination_rad.cos()
-    };
-    let differential = rate(drift_alt_km) - rate(alt_km); // rad/s
-    assert!(
-        differential.abs() > 1e-15,
-        "drift altitude must differ from the operating altitude"
-    );
-    let wait_s = (delta_raan_rad / differential).abs();
-    let legs = hohmann(alt_km, drift_alt_km).then(hohmann(drift_alt_km, alt_km));
-    ManeuverCost { delta_v_km_s: legs.delta_v_km_s, duration_s: legs.duration_s + wait_s }
-}
-
-/// Price the three Fig. 4c placement categories from a common starting slot
-/// (the economics behind the coverage comparison).
-pub fn category_costs(alt_km: f64) -> [(&'static str, ManeuverCost); 3] {
-    [
-        ("different inclination (10 deg)", plane_change(alt_km, 10f64.to_radians())),
-        ("different altitude (+54 km)", hohmann(alt_km, alt_km + 54.0)),
-        ("different phase (45 deg, 30 revs)", phasing(alt_km, 45f64.to_radians(), 30)),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,27 +140,12 @@ mod tests {
     fn category_economics_order() {
         // The paper's Fig. 4c winner (inclination) is the delta-v loser:
         // phase < altitude << inclination.
-        let costs = category_costs(546.0);
-        let incl = costs[0].1.delta_v_km_s;
-        let alt = costs[1].1.delta_v_km_s;
-        let phase = costs[2].1.delta_v_km_s;
+        let incl = plane_change(546.0, 10f64.to_radians()).delta_v_km_s;
+        let alt = hohmann(546.0, 600.0).delta_v_km_s;
+        let phase = phasing(546.0, 45f64.to_radians(), 30).delta_v_km_s;
         assert!(phase < alt, "phase {phase} < altitude {alt}");
         assert!(alt < incl, "altitude {alt} < inclination {incl}");
         assert!(incl / alt > 10.0, "inclination is an order of magnitude pricier");
-    }
-
-    #[test]
-    fn nodal_drift_trades_time_for_dv() {
-        // 30 degrees of RAAN via a 100 km-lower drift orbit at 53 deg.
-        let c = nodal_drift(550.0, 450.0, 53f64.to_radians(), 30f64.to_radians());
-        // Two small Hohmann legs only.
-        assert!(c.delta_v_km_s < 0.15, "dv {}", c.delta_v_km_s);
-        // But months of waiting.
-        assert!(c.duration_s > 30.0 * 86_400.0, "wait {} days", c.duration_s / 86_400.0);
-        // Compare with brute force: rotating the plane directly would cost
-        // km/s-class delta-v (plane rotation ~ v * delta_raan * sin(i)).
-        let brute = circular_speed_km_s(550.0) * 30f64.to_radians() * 53f64.to_radians().sin();
-        assert!(c.delta_v_km_s < brute / 10.0);
     }
 
     #[test]
@@ -216,111 +157,5 @@ mod tests {
         assert!(f > 0.0 && f < 0.06);
         // Chemical (isp 300): much worse.
         assert!(c.propellant_fraction(300.0) > 0.28);
-    }
-
-    #[test]
-    fn then_accumulates() {
-        let a = hohmann(550.0, 600.0);
-        let b = plane_change(600.0, 0.05);
-        let c = a.then(b);
-        assert!((c.delta_v_km_s - a.delta_v_km_s - b.delta_v_km_s).abs() < 1e-12);
-        assert!((c.duration_s - a.duration_s).abs() < 1e-12);
-    }
-}
-
-/// Atmospheric density at altitude (km above the mean equatorial radius),
-/// kg/m^3 — piecewise-exponential fit (Vallado Table 8-4, abbreviated to
-/// the LEO band). Static (mean solar activity) — good to a factor of ~2,
-/// which is the honest accuracy of any static density model.
-pub fn atmosphere_density_kg_m3(altitude_km: f64) -> f64 {
-    // (base altitude, base density kg/m^3, scale height km)
-    const SEGMENTS: [(f64, f64, f64); 8] = [
-        (200.0, 2.789e-10, 37.105),
-        (250.0, 7.248e-11, 45.546),
-        (300.0, 2.418e-11, 53.628),
-        (350.0, 9.518e-12, 53.298),
-        (400.0, 3.725e-12, 58.515),
-        (450.0, 1.585e-12, 60.828),
-        (500.0, 6.967e-13, 63.822),
-        (600.0, 1.454e-13, 71.835),
-    ];
-    assert!(altitude_km >= 200.0, "model valid above 200 km, got {altitude_km}");
-    let seg = SEGMENTS
-        .iter()
-        .rev()
-        .find(|(h0, _, _)| altitude_km >= *h0)
-        .expect("altitude above the first segment");
-    seg.1 * (-(altitude_km - seg.0) / seg.2).exp()
-}
-
-/// Annual delta-v (km/s per year) to hold a circular orbit against drag,
-/// for a spacecraft with ballistic coefficient inputs `cd` (drag
-/// coefficient, ~2.2) and `area_over_mass_m2_kg` (m^2/kg).
-///
-/// Continuous-compensation model: the thruster cancels the mean drag
-/// deceleration `0.5 * rho * v^2 * Cd * A/m`.
-pub fn drag_makeup_dv_per_year_km_s(altitude_km: f64, cd: f64, area_over_mass_m2_kg: f64) -> f64 {
-    let rho = atmosphere_density_kg_m3(altitude_km);
-    let v_m_s = crate::earth::circular_speed_km_s(altitude_km) * 1000.0;
-    let accel_m_s2 = 0.5 * rho * v_m_s * v_m_s * cd * area_over_mass_m2_kg;
-    accel_m_s2 * 365.25 * 86_400.0 / 1000.0
-}
-
-#[cfg(test)]
-mod drag_tests {
-    use super::*;
-
-    #[test]
-    fn density_decreases_with_altitude() {
-        let mut last = f64::MAX;
-        for alt in [200.0, 300.0, 400.0, 500.0, 550.0, 600.0, 800.0] {
-            let rho = atmosphere_density_kg_m3(alt);
-            assert!(rho < last, "density must fall with altitude at {alt}");
-            assert!(rho > 0.0);
-            last = rho;
-        }
-    }
-
-    #[test]
-    fn density_reference_points() {
-        // Table anchors reproduce exactly at segment bases.
-        assert!((atmosphere_density_kg_m3(400.0) / 3.725e-12 - 1.0).abs() < 1e-6);
-        assert!((atmosphere_density_kg_m3(500.0) / 6.967e-13 - 1.0).abs() < 1e-6);
-        // 550 km sits between the anchors.
-        let rho550 = atmosphere_density_kg_m3(550.0);
-        assert!(rho550 < 6.967e-13 && rho550 > 1.454e-13, "rho(550) = {rho550}");
-    }
-
-    #[test]
-    fn starlink_class_station_keeping_budget() {
-        // Starlink-class satellite: Cd ~2.2, A/m ~ 0.04 m^2/kg at 550 km:
-        // published station-keeping budgets are tens of m/s per year.
-        let dv = drag_makeup_dv_per_year_km_s(550.0, 2.2, 0.04) * 1000.0; // m/s
-        assert!((2.0..80.0).contains(&dv), "dv {dv} m/s per year");
-    }
-
-    #[test]
-    fn higher_orbits_are_cheaper_to_keep() {
-        let low = drag_makeup_dv_per_year_km_s(350.0, 2.2, 0.04);
-        let mid = drag_makeup_dv_per_year_km_s(550.0, 2.2, 0.04);
-        let high = drag_makeup_dv_per_year_km_s(800.0, 2.2, 0.04);
-        assert!(low > 10.0 * mid, "350 km is drag hell: {low} vs {mid}");
-        assert!(mid > 10.0 * high, "550 vs 800: {mid} vs {high}");
-    }
-
-    #[test]
-    fn lifetime_propellant_fits_design_life() {
-        // Five years of drag makeup at 550 km must fit a small electric
-        // propellant budget (Tsiolkovsky with isp 1500).
-        let dv5 = 5.0 * drag_makeup_dv_per_year_km_s(550.0, 2.2, 0.04);
-        let cost = ManeuverCost { delta_v_km_s: dv5, duration_s: 0.0 };
-        let frac = cost.propellant_fraction(1500.0);
-        assert!(frac < 0.05, "5-year drag makeup uses {frac} of wet mass");
-    }
-
-    #[test]
-    #[should_panic(expected = "model valid above 200")]
-    fn below_model_floor_panics() {
-        atmosphere_density_kg_m3(150.0);
     }
 }

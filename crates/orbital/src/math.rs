@@ -74,23 +74,9 @@ impl Vec3 {
         }
     }
 
-    /// Angle between two vectors in radians, in `[0, pi]`.
-    pub fn angle_to(self, other: Vec3) -> f64 {
-        let denom = self.norm() * other.norm();
-        if denom == 0.0 {
-            return 0.0;
-        }
-        (self.dot(other) / denom).clamp(-1.0, 1.0).acos()
-    }
-
     /// Distance between two points.
     pub fn distance(self, other: Vec3) -> f64 {
         (self - other).norm()
-    }
-
-    /// Component-wise linear interpolation: `self + t * (other - self)`.
-    pub fn lerp(self, other: Vec3, t: f64) -> Vec3 {
-        self + (other - self) * t
     }
 
     /// True if all components are finite.
@@ -161,27 +147,9 @@ pub struct Mat3 {
 }
 
 impl Mat3 {
-    /// The identity matrix.
-    pub const IDENTITY: Mat3 = Mat3 {
-        rows: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-    };
-
     /// Construct from rows.
     pub const fn from_rows(r0: [f64; 3], r1: [f64; 3], r2: [f64; 3]) -> Self {
         Mat3 { rows: [r0, r1, r2] }
-    }
-
-    /// Rotation about the X axis by `theta` radians (frame rotation
-    /// convention: rotates vectors from the old frame into the new frame).
-    pub fn rot_x(theta: f64) -> Mat3 {
-        let (s, c) = theta.sin_cos();
-        Mat3::from_rows([1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c])
-    }
-
-    /// Rotation about the Y axis by `theta` radians.
-    pub fn rot_y(theta: f64) -> Mat3 {
-        let (s, c) = theta.sin_cos();
-        Mat3::from_rows([c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c])
     }
 
     /// Rotation about the Z axis by `theta` radians.
@@ -197,27 +165,6 @@ impl Mat3 {
             r[0][0] * v.x + r[0][1] * v.y + r[0][2] * v.z,
             r[1][0] * v.x + r[1][1] * v.y + r[1][2] * v.z,
             r[2][0] * v.x + r[2][1] * v.y + r[2][2] * v.z,
-        )
-    }
-
-    /// Matrix-matrix product `self * other`.
-    pub fn mul_mat(&self, other: &Mat3) -> Mat3 {
-        let mut out = [[0.0; 3]; 3];
-        for (i, row) in out.iter_mut().enumerate() {
-            for (j, cell) in row.iter_mut().enumerate() {
-                *cell = (0..3).map(|k| self.rows[i][k] * other.rows[k][j]).sum();
-            }
-        }
-        Mat3 { rows: out }
-    }
-
-    /// Transpose. For rotation matrices this is the inverse.
-    pub fn transpose(&self) -> Mat3 {
-        let r = &self.rows;
-        Mat3::from_rows(
-            [r[0][0], r[1][0], r[2][0]],
-            [r[0][1], r[1][1], r[2][1]],
-            [r[0][2], r[1][2], r[2][2]],
         )
     }
 
@@ -298,29 +245,12 @@ mod tests {
     }
 
     #[test]
-    fn angle_between_axes() {
-        assert!((Vec3::X.angle_to(Vec3::Y) - FRAC_PI_2).abs() < 1e-12);
-        assert!((Vec3::X.angle_to(-Vec3::X) - PI).abs() < 1e-12);
-        assert!(Vec3::X.angle_to(Vec3::X).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = Vec3::new(1.0, 1.0, 1.0);
-        let b = Vec3::new(3.0, -1.0, 5.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec3::new(2.0, 0.0, 3.0));
-    }
-
-    #[test]
     fn rotation_preserves_norm() {
         let v = Vec3::new(3.0, -4.0, 12.0);
         for theta in [0.1, 1.0, 2.5, -0.7] {
-            for m in [Mat3::rot_x(theta), Mat3::rot_y(theta), Mat3::rot_z(theta)] {
-                assert!((m.mul_vec(v).norm() - v.norm()).abs() < 1e-12);
-                assert!((m.det() - 1.0).abs() < 1e-12);
-            }
+            let m = Mat3::rot_z(theta);
+            assert!((m.mul_vec(v).norm() - v.norm()).abs() < 1e-12);
+            assert!((m.det() - 1.0).abs() < 1e-12);
         }
     }
 
@@ -333,18 +263,6 @@ mod tests {
         // row0 = (0, 1, 0) -> x' = v.y = 0; row1 = (-1, 0, 0) -> y' = -1.
         let v = Mat3::rot_z(FRAC_PI_2).mul_vec(Vec3::X);
         assert!((v - Vec3::new(0.0, -1.0, 0.0)).norm() < 1e-12);
-    }
-
-    #[test]
-    fn transpose_is_inverse_of_rotation() {
-        let m = Mat3::rot_z(0.7).mul_mat(&Mat3::rot_x(-1.2));
-        let id = m.mul_mat(&m.transpose());
-        for i in 0..3 {
-            for j in 0..3 {
-                let want = if i == j { 1.0 } else { 0.0 };
-                assert!((id.rows[i][j] - want).abs() < 1e-12);
-            }
-        }
     }
 
     #[test]

@@ -84,11 +84,6 @@ impl KeplerJ2 {
     pub fn raan_drift_deg_per_day(&self) -> f64 {
         self.raan_dot_rad_s.to_degrees() * 86_400.0
     }
-
-    /// Nodal period (time between ascending-node crossings), seconds.
-    pub fn nodal_period_s(&self) -> f64 {
-        std::f64::consts::TAU / (self.mean_motion_rad_s + self.argp_dot_rad_s)
-    }
 }
 
 impl Propagator for KeplerJ2 {

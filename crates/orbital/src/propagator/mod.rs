@@ -32,16 +32,6 @@ pub struct StateVector {
 }
 
 impl StateVector {
-    /// Specific orbital energy, km^2/s^2 (negative for bound orbits).
-    pub fn specific_energy(&self) -> f64 {
-        self.velocity.norm_sq() / 2.0 - crate::earth::EARTH_MU_KM3_S2 / self.position.norm()
-    }
-
-    /// Specific angular momentum vector, km^2/s.
-    pub fn angular_momentum(&self) -> Vec3 {
-        self.position.cross(self.velocity)
-    }
-
     /// Altitude above the mean equatorial radius, km. (Geodetic altitude
     /// differs by up to ~21 km with latitude; use `frames` for that.)
     pub fn altitude_km(&self) -> f64 {
@@ -85,10 +75,9 @@ mod tests {
     use crate::math::deg_to_rad;
 
     #[test]
-    fn state_vector_energy_negative_for_leo() {
+    fn state_vector_altitude() {
         let el = ClassicalElements::circular(550.0, deg_to_rad(53.0), 0.0, 0.0);
         let st = el.state_at_mean_anomaly(0.0);
-        assert!(st.specific_energy() < 0.0);
         assert!((st.altitude_km() - 550.0).abs() < 1e-6);
     }
 

@@ -17,9 +17,6 @@ use std::fmt;
 /// treated as UTC here).
 pub const JD_J2000: f64 = 2_451_545.0;
 
-/// Julian date of the Unix epoch (1970-01-01 00:00:00 UTC).
-pub const JD_UNIX: f64 = 2_440_587.5;
-
 /// Seconds per day.
 pub const SECONDS_PER_DAY: f64 = 86_400.0;
 
@@ -62,13 +59,6 @@ impl Epoch {
         Epoch { jd_midnight, seconds_of_day }.rebalanced()
     }
 
-    /// Build an epoch from a raw Julian date.
-    pub fn from_jd(jd: f64) -> Self {
-        let jd_midnight = (jd - 0.5).floor() + 0.5;
-        let seconds_of_day = (jd - jd_midnight) * SECONDS_PER_DAY;
-        Epoch { jd_midnight, seconds_of_day }.rebalanced()
-    }
-
     /// Build an epoch from the TLE convention: two-digit-style year (full
     /// year accepted) and fractional day of year (1.0 == Jan 1, 00:00 UTC).
     pub fn from_year_doy(year: i32, day_of_year: f64) -> Self {
@@ -79,16 +69,6 @@ impl Epoch {
     /// The Julian date of this epoch.
     pub fn jd(&self) -> f64 {
         self.jd_midnight + self.seconds_of_day / SECONDS_PER_DAY
-    }
-
-    /// Days elapsed since the J2000.0 epoch.
-    pub fn days_since_j2000(&self) -> f64 {
-        (self.jd_midnight - JD_J2000) + self.seconds_of_day / SECONDS_PER_DAY
-    }
-
-    /// Julian centuries of 36525 days since J2000.0.
-    pub fn centuries_since_j2000(&self) -> f64 {
-        self.days_since_j2000() / 36_525.0
     }
 
     /// A new epoch offset by the given number of seconds (may be negative).
@@ -120,11 +100,6 @@ impl Epoch {
     pub fn seconds_since(&self, other: &Epoch) -> f64 {
         (self.jd_midnight - other.jd_midnight) * SECONDS_PER_DAY
             + (self.seconds_of_day - other.seconds_of_day)
-    }
-
-    /// Signed minutes from `other` to `self`.
-    pub fn minutes_since(&self, other: &Epoch) -> f64 {
-        self.seconds_since(other) / 60.0
     }
 
     /// Greenwich Mean Sidereal Time at this epoch, radians in `[0, 2pi)`.
@@ -253,13 +228,12 @@ mod tests {
     fn j2000_roundtrip() {
         let e = Epoch::from_ymdhms(2000, 1, 1, 12, 0, 0.0);
         assert!((e.jd() - JD_J2000).abs() < 1e-9);
-        assert!(e.days_since_j2000().abs() < 1e-9);
     }
 
     #[test]
     fn unix_epoch_jd() {
         let e = Epoch::from_ymdhms(1970, 1, 1, 0, 0, 0.0);
-        assert!((e.jd() - JD_UNIX).abs() < 1e-9);
+        assert!((e.jd() - 2_440_587.5).abs() < 1e-9);
     }
 
     #[test]

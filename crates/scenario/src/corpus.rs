@@ -2,8 +2,9 @@
 //!
 //! `tests/corpus/*.json` pins the scenarios every CI run re-checks: one
 //! JSON object per file, either a seed to regenerate (`{"seed": N,
-//! "note": "..."}`) or a full shrunk scenario (the [`Repro`] format with
-//! `"scenario"` inline) for failures that were fixed and must stay fixed.
+//! "note": "..."}`) or a full shrunk scenario (the
+//! [`crate::shrink::Repro`] format with `"scenario"` inline) for failures
+//! that were fixed and must stay fixed.
 //! Files are loaded in filename order so corpus runs are reproducible.
 
 use crate::gen::Scenario;

@@ -10,9 +10,9 @@
 //! ## Execution model
 //!
 //! A parallel *scope* ([`par_map_indexed`], [`par_map_indexed_with`],
-//! [`par_for_each_mut`], [`par_chunks`]) is a caller-participation
-//! construct: the calling thread enqueues up to `cap - 1` *helper* jobs on
-//! the pool and then joins the same index-claiming loop itself. Indices are
+//! [`par_for_each_mut`]) is a caller-participation construct: the calling
+//! thread enqueues up to `cap - 1` *helper* jobs on the pool and then
+//! joins the same index-claiming loop itself. Indices are
 //! claimed in blocks from a shared atomic counter, so a scope always makes
 //! progress even when every worker is busy elsewhere — the caller alone can
 //! finish the whole scope. Each claimant builds its task closure once from
@@ -67,7 +67,7 @@ mod metrics;
 mod pool;
 
 pub use metrics::{global_metrics, take_thread_metrics, thread_metrics, ScopeMetrics};
-pub use pool::{par_chunks, par_for_each_mut, par_map_indexed, par_map_indexed_with};
+pub use pool::{par_for_each_mut, par_map_indexed, par_map_indexed_with};
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -385,19 +385,6 @@ where
     });
 }
 
-/// Split `items` into contiguous chunks of (at most) `chunk` elements and
-/// run `f(chunk_index, chunk)` for each on the shared pool — the shape the
-/// columnar ephemeris build wants.
-pub fn par_chunks<T, F>(items: &mut [T], chunk: usize, cap: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(chunk > 0, "chunk size must be positive");
-    let mut chunks: Vec<&mut [T]> = items.chunks_mut(chunk).collect();
-    par_for_each_mut(&mut chunks, cap, |i, slice| f(i, slice));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,19 +489,6 @@ mod tests {
         par_for_each_mut(&mut v, 0, |i, slot| *slot = i as u64 * 2);
         for (i, x) in v.iter().enumerate() {
             assert_eq!(*x, i as u64 * 2);
-        }
-    }
-
-    #[test]
-    fn chunks_cover_everything_in_order() {
-        let mut v = vec![0usize; 1003];
-        par_chunks(&mut v, 64, 0, |ci, chunk| {
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                *slot = ci * 64 + k;
-            }
-        });
-        for (i, x) in v.iter().enumerate() {
-            assert_eq!(*x, i);
         }
     }
 

@@ -26,7 +26,8 @@
 //! assert!(demand.offered_mbps.iter().all(|&v| v > 0.0));
 //! // ... and genuinely diurnal: the busiest hour of the day carries more
 //! // total load than the quietest one.
-//! let totals: Vec<f64> = (0..demand.steps).map(|k| demand.total_at(k)).collect();
+//! let totals: Vec<f64> =
+//!     (0..demand.steps).map(|k| demand.step_offered(k).iter().sum()).collect();
 //! let peak = totals.iter().cloned().fold(f64::MIN, f64::max);
 //! let trough = totals.iter().cloned().fold(f64::MAX, f64::min);
 //! assert!(peak > trough);
@@ -82,12 +83,6 @@ impl DemandConfig {
     pub fn peak_mbps(&self, city: &City) -> f64 {
         self.subscribers(city) * self.mbps_per_user
     }
-}
-
-/// Local solar hour (`[0, 24)`) at `lon_deg` for a UTC epoch.
-pub fn local_solar_hour(epoch: &orbital::time::Epoch, lon_deg: f64) -> f64 {
-    let (_, seconds_of_day) = epoch.jd_parts();
-    (seconds_of_day / 3600.0 + lon_deg / 15.0).rem_euclid(24.0)
 }
 
 /// The diurnal shape: 1.0 at `peak_hour`, `floor` twelve hours away,
@@ -173,35 +168,6 @@ impl DemandMatrix {
         out.reserve(self.cities.len());
         out.extend((0..self.cities.len()).map(|c| self.offered(c, k)));
     }
-
-    /// Total offered load at step `k`, Mbps.
-    pub fn total_at(&self, k: usize) -> f64 {
-        (0..self.cities.len()).map(|c| self.offered(c, k)).sum()
-    }
-
-    /// Mean offered load of city `c`, Mbps.
-    pub fn city_mean(&self, c: usize) -> f64 {
-        if self.steps == 0 {
-            return 0.0;
-        }
-        (0..self.steps).map(|k| self.offered(c, k)).sum::<f64>() / self.steps as f64
-    }
-
-    /// Peak-to-trough ratio of city `c`'s offered load.
-    pub fn city_peak_trough(&self, c: usize) -> f64 {
-        let mut peak = f64::NEG_INFINITY;
-        let mut trough = f64::INFINITY;
-        for k in 0..self.steps {
-            let v = self.offered(c, k);
-            peak = peak.max(v);
-            trough = trough.min(v);
-        }
-        if trough > 0.0 {
-            peak / trough
-        } else {
-            f64::INFINITY
-        }
-    }
 }
 
 #[cfg(test)]
@@ -226,18 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn local_solar_time_tracks_longitude() {
-        let e = epoch(); // 00:00 UTC
-        assert!((local_solar_hour(&e, 0.0) - 0.0).abs() < 1e-9);
-        // Tokyo (+139.7°E) is ~9.3 hours ahead of UTC solar time.
-        let tokyo = local_solar_hour(&e, 139.6917);
-        assert!((tokyo - 139.6917 / 15.0).abs() < 1e-9);
-        // Wraps correctly westwards.
-        let lima = local_solar_hour(&e, -77.0428);
-        assert!((0.0..24.0).contains(&lima));
-    }
-
-    #[test]
     fn matrix_deterministic_and_diurnal() {
         let cities = paper_cities();
         let grid = TimeGrid::new(epoch(), 86_400.0, 600.0);
@@ -252,7 +206,10 @@ mod tests {
         }
         // Every city shows a clear diurnal swing over a full day.
         for (ci, city) in cities.iter().enumerate() {
-            let ratio = a.city_peak_trough(ci);
+            let load = (0..a.steps).map(|k| a.offered(ci, k));
+            let peak = load.clone().fold(f64::MIN, f64::max);
+            let trough = load.fold(f64::MAX, f64::min);
+            let ratio = peak / trough;
             assert!(ratio > 2.0 && ratio < 6.0, "{}: peak/trough {ratio}", city.name);
         }
     }
@@ -264,7 +221,8 @@ mod tests {
         let cfg = DemandConfig { jitter: 0.0, ..DemandConfig::default() };
         let m = DemandMatrix::generate(&cities, &grid, &cfg);
         // Tokyo (37.1M) must out-offer Melbourne (5.2M) on average.
-        assert!(m.city_mean(0) > 5.0 * m.city_mean(20));
+        let mean = |c: usize| (0..m.steps).map(|k| m.offered(c, k)).sum::<f64>() / m.steps as f64;
+        assert!(mean(0) > 5.0 * mean(20));
         // Sanity scale: Tokyo ~14 Gbps at the busy hour at defaults.
         let tokyo_peak = cfg.peak_mbps(&cities[0]);
         assert!(tokyo_peak > 10_000.0 && tokyo_peak < 20_000.0, "{tokyo_peak}");

@@ -146,11 +146,6 @@ impl TrafficReport {
         peak_trough(&self.total_offered_steps)
     }
 
-    /// Peak-to-trough ratio of the total served load.
-    pub fn served_peak_trough(&self) -> f64 {
-        peak_trough(&self.total_served_steps)
-    }
-
     /// Per-party horizon means.
     pub fn party_summary(&self) -> Vec<PartyTraffic> {
         let n = self.steps.max(1) as f64;

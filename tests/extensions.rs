@@ -111,15 +111,12 @@ fn failure_process_interoperates_with_sla() {
 fn maneuver_costs_consistent_with_placement_story() {
     // The integration-level sanity check of the economics ablation: for a
     // 550 km shell, inclination changes cost orders of magnitude more than
-    // phasing, and the nodal-drift trick undercuts direct plane rotation.
+    // phasing or an altitude change.
     let incl = maneuver::plane_change(550.0, 10f64.to_radians());
     let phase = maneuver::phasing(550.0, 45f64.to_radians(), 30);
     let alt = maneuver::hohmann(550.0, 604.0);
     assert!(incl.delta_v_km_s / phase.delta_v_km_s > 30.0);
     assert!(incl.delta_v_km_s / alt.delta_v_km_s > 30.0);
-    let drift = maneuver::nodal_drift(550.0, 450.0, 53f64.to_radians(), 60f64.to_radians());
-    assert!(drift.delta_v_km_s < 0.2);
-    assert!(drift.duration_s > 30.0 * 86_400.0);
 }
 
 #[test]

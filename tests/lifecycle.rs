@@ -2,8 +2,7 @@
 //!
 //! A single narrative test drives the whole stack through the paper's
 //! story: parties bootstrap a constellation with gap-filling placement and
-//! early-adopter tokens, terminals get scheduled onto spare capacity and
-//! settle payments, coverage earns quorum-attested proof-of-coverage
+//! early-adopter tokens, coverage earns quorum-attested proof-of-coverage
 //! rewards over a real TCP mesh, one party rage-quits, and the network
 //! degrades exactly as gracefully as Fig. 5/6 promise.
 
@@ -15,7 +14,6 @@ use dcp::poc::{CoverageReceipt, Scenario};
 use leosim::visibility::{SimConfig, VisibilityTable};
 use leosim::TimeGrid;
 use mpleo::bootstrap::{simulate_bootstrap, EmissionSchedule};
-use mpleo::capacity::{assign_least_loaded, CapacityConfig};
 use mpleo::placement::weighted_coverage_s;
 use mpleo::robustness::withdrawal_loss;
 use orbital::constellation::starlink_gen1_pool;
@@ -49,15 +47,8 @@ async fn full_constellation_lifecycle() {
     // The founder ends richest (early-adopter bonus).
     assert!(outcome.balances["alpha"] > outcome.balances["delta"]);
 
-    // ---- Phase 2: serve terminals and check capacity economics -------
+    // ---- Phase 2: proof-of-coverage over a real TCP mesh --------------
     let constellation = outcome.constellation.clone();
-    let assignment =
-        assign_least_loaded(&vt, &constellation, CapacityConfig { terminals_per_sat: 4 });
-    assert!(assignment.service_ratio() > 0.99, "capacity 4 serves 21 spread-out cities");
-    let spare = assignment.spare_capacity_steps(grid.steps);
-    assert!(spare > 0, "spare capacity exists to sell");
-
-    // ---- Phase 3: proof-of-coverage over a real TCP mesh --------------
     let mut keys = KeyDirectory::new();
     for p in parties {
         keys.register_derived(p, b"lifecycle");
@@ -108,7 +99,7 @@ async fn full_constellation_lifecycle() {
     assert!((balances["beta"] - 1.5).abs() < 1e-9, "{balances:?}");
     assert!((balances["alpha"] - 0.5).abs() < 1e-9, "{balances:?}");
 
-    // ---- Phase 4: delta rage-quits ------------------------------------
+    // ---- Phase 3: delta rage-quits ------------------------------------
     let delta_sats: Vec<u32> = outcome.rounds[3].satellites.iter().map(|&s| s as u32).collect();
     let notice_sats: Vec<u32> = delta_sats.clone();
     let bytes = WithdrawalNotice::signing_bytes("delta", &notice_sats, 0.0);
@@ -132,7 +123,7 @@ async fn full_constellation_lifecycle() {
         n.shutdown();
     }
 
-    // ---- Phase 5: the physics of the withdrawal -----------------------
+    // ---- Phase 4: the physics of the withdrawal -----------------------
     let withdrawn: Vec<usize> = outcome.rounds[3].satellites.clone();
     let loss = withdrawal_loss(&vt, &constellation, &withdrawn, &weights);
     // Delta held a quarter of the satellites; the loss is bounded and
