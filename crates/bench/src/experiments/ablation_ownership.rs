@@ -81,7 +81,7 @@ impl Experiment for AblationOwnership {
                 };
                 let largest = reg.largest_party();
                 let withdrawn: Vec<usize> = largest.satellites.iter().map(|&p| base[p]).collect();
-                withdrawal_loss(&vt, &base, &withdrawn, &ctx.weights)
+                withdrawal_loss(vt, &base, &withdrawn, &ctx.weights)
             });
             let mean_pct =
                 losses.iter().map(|l| l.loss_pct_of_horizon).sum::<f64>() / losses.len() as f64;

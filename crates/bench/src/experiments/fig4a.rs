@@ -71,7 +71,7 @@ impl Experiment for Fig4a {
         let mut result = ExperimentResult::data();
         for &base in &BASES {
             let agg =
-                random_addition_experiment(&vt, base, &ctx.weights, fidelity.runs, seeds::FIG4A);
+                random_addition_experiment(vt, base, &ctx.weights, fidelity.runs, seeds::FIG4A);
             mean_series.push(agg.mean * scale);
             result = result.scalar(&format!("mean_gain_s_base{base}"), agg.mean * scale);
             rows.push(vec![

@@ -75,7 +75,7 @@ impl Experiment for Fig5 {
         let mut losses = Vec::new();
         let mut result = ExperimentResult::data();
         for &l in &SIZES {
-            let agg = half_withdrawal_experiment(&vt, l, &ctx.weights, fidelity.runs, seeds::FIG5);
+            let agg = half_withdrawal_experiment(vt, l, &ctx.weights, fidelity.runs, seeds::FIG5);
             losses.push(agg.mean);
             result = result.scalar(&format!("loss_pct_{l}"), agg.mean);
             rows.push(vec![

@@ -78,7 +78,7 @@ impl Experiment for Fig6 {
         let mut result = ExperimentResult::data();
         for r in 1..=10u32 {
             let agg = skewed_withdrawal_experiment(
-                &vt,
+                vt,
                 1000,
                 r as f64,
                 10,

@@ -171,6 +171,8 @@ pub struct Context {
     /// The pool-wide ephemeris, propagated lazily at most once per process
     /// and shared by every table/figure this context produces.
     ephemeris: OnceLock<EphemerisStore>,
+    /// The pool × 21-city visibility table, likewise built at most once.
+    city_table: OnceLock<VisibilityTable>,
 }
 
 impl Context {
@@ -190,6 +192,7 @@ impl Context {
             grid,
             config: SimConfig::default(),
             ephemeris: OnceLock::new(),
+            city_table: OnceLock::new(),
         }
     }
 
@@ -200,10 +203,11 @@ impl Context {
         self.ephemeris.get_or_init(|| EphemerisStore::build(&self.pool, &self.grid, &self.config))
     }
 
-    /// Compute the pool-wide visibility table against the 21 cities.
-    /// Pure geometry over [`Context::pool_ephemeris`].
-    pub fn city_table(&self) -> VisibilityTable {
-        self.table_for(&self.sites)
+    /// The pool-wide visibility table against the 21 cities: pure geometry
+    /// over [`Context::pool_ephemeris`], computed once and shared by every
+    /// figure that reads it.
+    pub fn city_table(&self) -> &VisibilityTable {
+        self.city_table.get_or_init(|| self.table_for(&self.sites))
     }
 
     /// Compute a visibility table against a custom site list, reusing the
@@ -393,6 +397,18 @@ mod tests {
         assert_eq!(sub.position(1, 0), ctx.pool_ephemeris().position(5, 0));
         // One Context admits one build: the subset paths read the same store.
         assert!(std::ptr::eq(a, ctx.pool_ephemeris()), "subset paths must not rebuild the store");
+    }
+
+    #[test]
+    fn city_table_built_once_and_equal_to_a_fresh_one() {
+        let f = Fidelity { horizon_s: 3600.0, step_s: 600.0, runs: 1, full: false, threads: 0 };
+        let ctx = Context::new(&f);
+        let shared = ctx.city_table();
+        assert!(std::ptr::eq(shared, ctx.city_table()), "one table per context");
+        let fresh = ctx.table_for(&ctx.sites);
+        assert_eq!(shared.sat_ids, fresh.sat_ids);
+        assert_eq!(shared.site_names, fresh.site_names);
+        assert_eq!(shared.table, fresh.table, "bitset for bitset");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The experiment registry: the single list of every figure/ablation the
-//! harness can run, keyed by stable id. The `suite` binary and the
-//! `mpleo experiments` CLI subcommand both resolve through here.
+//! harness can run, keyed by stable id. The `suite` binary resolves
+//! through here.
 
 use crate::experiment::Experiment;
 use crate::experiments::*;

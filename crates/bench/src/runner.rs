@@ -1,14 +1,9 @@
 //! The experiment runner.
 //!
 //! One process, one shared [`Context`] (and therefore one pool ephemeris
-//! build), any subset of the registry. Two front ends share it, flag for
-//! flag:
-//!
-//! * the `suite` binary (`--only`/`--skip`/`--strict`/`--report`, …);
-//! * the `mpleo experiments` CLI subcommand.
-//!
-//! A single experiment is `--only <id>`; there are no per-experiment
-//! binaries.
+//! build), any subset of the registry. The `suite` binary
+//! (`--only`/`--skip`/`--strict`/`--report`, …) is its one front end; a
+//! single experiment is `--only <id>`.
 //!
 //! Independent experiments fan out on the shared `simrt` worker pool (one
 //! task per experiment; the pool's token budget keeps this outer
@@ -34,19 +29,14 @@ pub struct SuiteOptions {
     pub only: Vec<String>,
     /// Skip these ids.
     pub skip: Vec<String>,
-    /// Results directory (default `results/`, or `MPLEO_RESULTS_DIR`).
+    /// Results directory (default `results/`).
     pub out_dir: Option<PathBuf>,
     /// Evaluate every expectation failure as a warning (the CI mode).
     pub warn_only: bool,
-    /// Run experiments one at a time instead of in parallel.
-    pub sequential: bool,
     /// Suppress per-experiment human output (results JSON still written).
     pub quiet: bool,
     /// Use this fidelity instead of reading the environment (tests).
     pub fidelity: Option<Fidelity>,
-    /// Worker-thread override (`--threads`; 0 = keep the fidelity's /
-    /// environment's resolution).
-    pub threads: usize,
 }
 
 /// What a suite run produced, for exit-code decisions and tests.
@@ -96,9 +86,7 @@ pub fn thread_cpu_s() -> Option<f64> {
 }
 
 fn results_dir(opts: &SuiteOptions) -> PathBuf {
-    opts.out_dir.clone().unwrap_or_else(|| {
-        std::env::var("MPLEO_RESULTS_DIR").map(PathBuf::from).unwrap_or_else(|_| "results".into())
-    })
+    opts.out_dir.clone().unwrap_or_else(|| "results".into())
 }
 
 /// Run one experiment: fill the metadata around its data-only result and
@@ -220,16 +208,10 @@ pub fn run_suite(opts: &SuiteOptions) -> Result<SuiteSummary, String> {
     if selected.is_empty() {
         return Err("no experiments selected".to_string());
     }
-    let mut fidelity = match &opts.fidelity {
+    let fidelity = match &opts.fidelity {
         Some(f) => *f,
         None => Fidelity::from_env().map_err(|e| e.to_string())?,
     };
-    if opts.threads > 0 {
-        fidelity.threads = opts.threads;
-        // Resolve the process-wide count too, so the pool (if not yet
-        // built) is sized to match the explicit request.
-        simrt::configure(opts.threads);
-    }
     let dir = results_dir(opts);
     fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let git = git_describe();
@@ -257,18 +239,13 @@ pub fn run_suite(opts: &SuiteOptions) -> Result<SuiteSummary, String> {
     // threads=N inside one process.
     let results: Vec<Result<ExperimentResult, String>> =
         simrt::with_thread_cap(fidelity.threads, || {
-            if opts.sequential || selected.len() == 1 {
-                selected.iter().map(|exp| run_and_emit(*exp)).collect()
-            } else {
-                // One pool task per experiment. Panics stay inside the task
-                // (same contract as the old per-experiment thread join).
-                simrt::par_map_indexed(selected.len(), 0, |i| {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run_and_emit(selected[i])
-                    }))
-                    .unwrap_or_else(|_| Err("experiment thread panicked".to_string()))
-                })
-            }
+            // One pool task per experiment; panics stay inside the task.
+            simrt::par_map_indexed(selected.len(), 0, |i| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_and_emit(selected[i])
+                }))
+                .unwrap_or_else(|_| Err("experiment thread panicked".to_string()))
+            })
         });
 
     let mut summary = SuiteSummary::default();
@@ -296,7 +273,7 @@ fn print_summary(s: &SuiteSummary) {
     );
 }
 
-/// What a parsed `suite` (or `mpleo experiments`) command line asks for.
+/// What a parsed `suite` command line asks for.
 #[derive(Debug, PartialEq)]
 pub enum SuiteCommand {
     /// Print the registry and exit.
@@ -310,39 +287,35 @@ pub enum SuiteCommand {
         /// Regenerate the EXPERIMENTS.md report block afterwards.
         report: bool,
     },
-    /// Only regenerate the report from existing results.
-    Report,
+    /// Only regenerate the report from the existing results in this
+    /// directory.
+    Report(PathBuf),
     /// Print usage.
     Help,
 }
 
-/// Usage text shared by `--bin suite` and `mpleo experiments`.
-pub fn usage(prog: &str) -> String {
-    format!(
-        "usage: {prog} [--list] [--only id,id,...] [--skip id,id,...]\n\
-         \x20        [--out DIR] [--strict] [--warn-only] [--sequential]\n\
-         \x20        [--quiet] [--threads N] [--report] [--report-only]\n\
-         \n\
-         Runs the registered experiments (all by default) in one process\n\
-         over a shared context, writing results/<id>.json per experiment.\n\
-         \n\
-         --list         print the experiment ids and titles, then exit\n\
-         --only IDS     run only these comma-separated experiment ids\n\
-         --skip IDS     skip these comma-separated experiment ids\n\
-         --out DIR      results directory (default: results/, or $MPLEO_RESULTS_DIR)\n\
-         --strict       exit non-zero if any paper expectation fails\n\
-         --warn-only    downgrade every expectation failure to a warning\n\
-         --sequential   run experiments one at a time\n\
-         --quiet        suppress per-experiment output (JSON still written)\n\
-         --threads N    worker threads for the shared pool (0 = auto)\n\
-         --report       after running, regenerate EXPERIMENTS.md's report block\n\
-         --report-only  regenerate the report from existing results, run nothing\n\
-         \n\
-         Fidelity comes from the environment: MPLEO_FULL=1 for the paper's\n\
-         protocol, MPLEO_RUNS / MPLEO_HORIZON_S / MPLEO_STEP_S to override.\n\
-         MPLEO_THREADS sets the worker count when --threads is not given\n\
-         (0 or unset = auto-detect)."
-    )
+/// Usage text of `--bin suite`.
+pub fn usage() -> &'static str {
+    "usage: suite [--list] [--only id,id,...] [--skip id,id,...]\n\
+     \x20        [--out DIR] [--strict] [--warn-only] [--quiet]\n\
+     \x20        [--report] [--report-only]\n\
+     \n\
+     Runs the registered experiments (all by default) in one process\n\
+     over a shared context, writing results/<id>.json per experiment.\n\
+     \n\
+     --list         print the experiment ids and titles, then exit\n\
+     --only IDS     run only these comma-separated experiment ids\n\
+     --skip IDS     skip these comma-separated experiment ids\n\
+     --out DIR      results directory (default: results/)\n\
+     --strict       exit non-zero if any paper expectation fails\n\
+     --warn-only    downgrade every expectation failure to a warning\n\
+     --quiet        suppress per-experiment output (JSON still written)\n\
+     --report       after running, regenerate EXPERIMENTS.md's report block\n\
+     --report-only  regenerate the report from existing results, run nothing\n\
+     \n\
+     Fidelity comes from the environment: MPLEO_FULL=1 for the paper's\n\
+     protocol, MPLEO_RUNS / MPLEO_HORIZON_S / MPLEO_STEP_S to override.\n\
+     MPLEO_THREADS sets the worker count (0 or unset = auto-detect)."
 }
 
 /// Parse `suite`-style arguments (everything after the program name).
@@ -377,17 +350,7 @@ pub fn parse_args(args: &[String]) -> Result<SuiteCommand, String> {
             }
             "--strict" => strict = true,
             "--warn-only" => opts.warn_only = true,
-            "--sequential" => opts.sequential = true,
             "--quiet" => opts.quiet = true,
-            "--threads" => {
-                let v =
-                    it.next().ok_or_else(|| "--threads needs a count (0 = auto)".to_string())?;
-                opts.threads = v.parse::<usize>().map_err(|_| {
-                    format!(
-                        "--threads {v:?} is invalid: expected a non-negative integer (0 = auto)"
-                    )
-                })?;
-            }
             "--report" => report = true,
             "--report-only" => report_only = true,
             "--help" | "-h" => return Ok(SuiteCommand::Help),
@@ -398,17 +361,17 @@ pub fn parse_args(args: &[String]) -> Result<SuiteCommand, String> {
         return Ok(SuiteCommand::List);
     }
     if report_only {
-        return Ok(SuiteCommand::Report);
+        return Ok(SuiteCommand::Report(results_dir(&opts)));
     }
     Ok(SuiteCommand::Run { opts, strict, report })
 }
 
 /// Execute a parsed command; returns the process exit code. This is the
-/// whole body of `--bin suite` and of `mpleo experiments`.
-pub fn execute(cmd: SuiteCommand, prog: &str) -> i32 {
+/// whole body of `--bin suite`.
+pub fn execute(cmd: SuiteCommand) -> i32 {
     match cmd {
         SuiteCommand::Help => {
-            println!("{}", usage(prog));
+            println!("{}", usage());
             0
         }
         SuiteCommand::List => {
@@ -417,8 +380,7 @@ pub fn execute(cmd: SuiteCommand, prog: &str) -> i32 {
             }
             0
         }
-        SuiteCommand::Report => {
-            let dir = results_dir(&SuiteOptions::default());
+        SuiteCommand::Report(dir) => {
             match report::update_markdown(&dir, std::path::Path::new("EXPERIMENTS.md")) {
                 Ok(n) => {
                     println!("EXPERIMENTS.md report block regenerated from {n} result(s)");
@@ -481,25 +443,17 @@ mod tests {
     }
 
     #[test]
-    fn parse_threads_flag() {
-        match parse_args(&s(&["--threads", "4"])).unwrap() {
-            SuiteCommand::Run { opts, .. } => assert_eq!(opts.threads, 4),
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse_args(&s(&["--threads", "0"])).unwrap() {
-            SuiteCommand::Run { opts, .. } => assert_eq!(opts.threads, 0),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(parse_args(&s(&["--threads"])).is_err());
-        let err = parse_args(&s(&["--threads", "four"])).unwrap_err();
-        assert!(err.contains("four"), "{err}");
-    }
-
-    #[test]
     fn parse_list_help_and_errors() {
         assert_eq!(parse_args(&s(&["--list"])).unwrap(), SuiteCommand::List);
         assert_eq!(parse_args(&s(&["--help"])).unwrap(), SuiteCommand::Help);
-        assert_eq!(parse_args(&s(&["--report-only"])).unwrap(), SuiteCommand::Report);
+        assert_eq!(
+            parse_args(&s(&["--report-only"])).unwrap(),
+            SuiteCommand::Report("results".into())
+        );
+        assert_eq!(
+            parse_args(&s(&["--report-only", "--out", "/tmp/r"])).unwrap(),
+            SuiteCommand::Report("/tmp/r".into())
+        );
         assert!(parse_args(&s(&["--bogus"])).is_err());
         assert!(parse_args(&s(&["--only"])).is_err());
     }

@@ -115,11 +115,6 @@ impl Args {
             }
         }
     }
-
-    /// A boolean flag (present/true/false), default false.
-    pub fn get_bool(&self, key: &str) -> bool {
-        matches!(self.flags.get(key).map(String::as_str), Some("true") | Some("1") | Some("yes"))
-    }
 }
 
 #[cfg(test)]
@@ -143,15 +138,15 @@ mod tests {
     #[test]
     fn bare_flag_is_boolean() {
         let a = parse("screen --full --threshold 10").unwrap();
-        assert!(a.get_bool("full"));
-        assert!(!a.get_bool("quiet"));
+        assert_eq!(a.get_str("full", ""), "true");
+        assert_eq!(a.get_str("quiet", ""), "");
         assert_eq!(a.get_f64("threshold", 0.0).unwrap(), 10.0);
     }
 
     #[test]
     fn flag_followed_by_flag_is_boolean() {
         let a = parse("x --verbose --lat 1.0").unwrap();
-        assert!(a.get_bool("verbose"));
+        assert_eq!(a.get_str("verbose", ""), "true");
         assert_eq!(a.get_f64("lat", 0.0).unwrap(), 1.0);
     }
 

@@ -1,6 +1,6 @@
-//! Helpers shared by the subcommand modules: the common epoch, the
-//! `--threads` flag, and the sampled-pool scene builders used by every
-//! command that simulates the shared constellation.
+//! Helpers shared by the subcommand modules: the common epoch and the
+//! sampled-pool scene builders used by every command that simulates the
+//! shared constellation.
 
 use crate::args::Args;
 use geodata::City;
@@ -17,17 +17,6 @@ pub(crate) type CmdResult = Result<(), Box<dyn std::error::Error>>;
 
 pub(crate) fn epoch() -> Epoch {
     Epoch::from_ymdhms(2024, 6, 1, 0, 0, 0.0)
-}
-
-/// The `--threads <n>` flag: pin the shared `simrt` worker pool to `n`
-/// threads for this invocation. 0 (or absent) leaves the decision to
-/// `MPLEO_THREADS`, falling back to auto-detection.
-pub(crate) fn configure_threads(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    let threads = args.get_usize("threads", 0)?;
-    if threads > 0 {
-        simrt::configure(threads);
-    }
-    Ok(())
 }
 
 /// Shared: a seeded `sats_n`-satellite sample of the Starlink-like pool.
@@ -90,10 +79,9 @@ impl TrafficScene {
         sample_seed: u64,
     ) -> Result<TrafficScene, Box<dyn std::error::Error>> {
         let mut allowed =
-            vec!["sats", "hours", "step", "parties", "gateway-stride", "scale", "mask", "threads"];
+            vec!["sats", "hours", "step", "parties", "gateway-stride", "scale", "mask"];
         allowed.extend_from_slice(own_flags);
         args.expect_only(&allowed)?;
-        configure_threads(args)?;
         let sats_n = args.get_usize("sats", 300)?;
         let hours = args.get_f64("hours", 12.0)?;
         let step = args.get_f64("step", 600.0)?;

@@ -1,7 +1,7 @@
 //! Coverage-reporting commands: `coverage` (point and region), `sla`,
 //! and the ASCII `map`.
 
-use super::common::{configure_threads, epoch, sampled_sats, site_table, CmdResult};
+use super::common::{epoch, sampled_sats, site_table, CmdResult};
 use crate::args::Args;
 use leosim::coverage::CoverageStats;
 use leosim::visibility::SimConfig;
@@ -18,9 +18,7 @@ pub fn coverage(args: &Args) -> CmdResult {
         "step",
         "mask",
         "region",
-        "threads",
     ])?;
-    configure_threads(args)?;
     let region_name = args.get_str("region", "");
     if !region_name.is_empty() {
         return coverage_region(args, &region_name);
@@ -77,9 +75,7 @@ pub fn sla(args: &Args) -> CmdResult {
         "days",
         "step",
         "mask",
-        "threads",
     ])?;
-    configure_threads(args)?;
     let lat = args.get_f64("lat", 25.033)?;
     let lon = args.get_f64("lon", 121.565)?;
     let (vt, n) = site_table(args, lat, lon)?;
@@ -105,8 +101,7 @@ pub fn sla(args: &Args) -> CmdResult {
 
 /// `mpleo map` — ASCII world coverage map.
 pub fn map(args: &Args) -> CmdResult {
-    args.expect_only(&["sats", "hours", "mask", "rows", "cols", "threads"])?;
-    configure_threads(args)?;
+    args.expect_only(&["sats", "hours", "mask", "rows", "cols"])?;
     let sats_n = args.get_usize("sats", 200)?;
     let hours = args.get_f64("hours", 12.0)?;
     let mask = args.get_f64("mask", 25.0)?;

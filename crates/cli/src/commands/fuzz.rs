@@ -5,7 +5,7 @@
 //! and a shrunk one-line JSON repro for every failure. Exits nonzero if
 //! anything failed, so CI can gate on it directly.
 
-use super::common::{configure_threads, CmdResult};
+use super::common::CmdResult;
 use crate::args::Args;
 use scenario::seeds::FUZZ_SMOKE_START;
 use std::path::Path;
@@ -15,8 +15,7 @@ use std::time::Duration;
 /// cross-layer invariant oracle over each one; shrink and print failures
 /// as replayable one-line JSON repros.
 pub fn fuzz(args: &Args) -> CmdResult {
-    args.expect_only(&["seeds", "budget", "start-seed", "corpus", "out", "threads"])?;
-    configure_threads(args)?;
+    args.expect_only(&["seeds", "budget", "start-seed", "corpus", "out"])?;
     let seeds = args.get_u64("seeds", 25)?;
     let budget_s = args.get_f64("budget", 0.0)?;
     let start_seed = args.get_u64("start-seed", FUZZ_SMOKE_START)?;

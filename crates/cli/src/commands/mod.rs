@@ -7,7 +7,6 @@ mod common;
 mod churn;
 mod coverage;
 mod data;
-mod experiments;
 mod fuzz;
 mod node;
 mod plan;
@@ -16,7 +15,6 @@ mod traffic;
 pub use self::churn::churn;
 pub use self::coverage::{coverage, map, sla};
 pub use self::data::{cities, manifest, tle};
-pub use self::experiments::experiments;
 pub use self::fuzz::fuzz;
 pub use self::node::{audit, node};
 pub use self::plan::{plan, screen};
@@ -56,12 +54,6 @@ mod tests {
             coverage(&argv("coverage --region taiwan --sats 100 --days 0.25 --step 300")).is_ok()
         );
         assert!(coverage(&argv("coverage --region atlantis")).is_err());
-    }
-
-    #[test]
-    fn threads_flag_parses_and_rejects_garbage() {
-        assert!(coverage(&argv("coverage --sats 30 --days 0.25 --step 300 --threads 2")).is_ok());
-        assert!(coverage(&argv("coverage --sats 30 --days 0.25 --step 300 --threads x")).is_err());
     }
 
     #[test]

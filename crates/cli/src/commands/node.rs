@@ -51,7 +51,6 @@ pub fn node(args: &Args) -> CmdResult {
         initial: std::time::Duration::from_millis(args.get_usize("retry-initial-ms", 100)? as u64),
         max: std::time::Duration::from_millis(args.get_usize("retry-max-ms", 5000)? as u64),
         max_attempts: args.get_usize("retry-attempts", 0)? as u32,
-        reconnect: true,
     };
     let status_every = std::time::Duration::from_secs(args.get_usize("status-secs", 5)? as u64);
 

@@ -1,7 +1,7 @@
 //! Constellation-shaping commands: `plan` (gap-filling placement) and
 //! `screen` (conjunction screening).
 
-use super::common::{configure_threads, epoch, CmdResult};
+use super::common::{epoch, CmdResult};
 use crate::args::Args;
 use leosim::visibility::{SimConfig, VisibilityTable};
 use leosim::TimeGrid;
@@ -11,8 +11,7 @@ use orbital::time::format_duration;
 
 /// `mpleo plan` — gap-filling slot suggestions.
 pub fn plan(args: &Args) -> CmdResult {
-    args.expect_only(&["contribute", "base", "days", "step", "threads"])?;
-    configure_threads(args)?;
+    args.expect_only(&["contribute", "base", "days", "step"])?;
     let contribute = args.get_usize("contribute", 3)?;
     let base_n = args.get_usize("base", 40)?;
     let days = args.get_f64("days", 1.0)?;

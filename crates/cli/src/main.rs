@@ -15,7 +15,6 @@
 //! * `manifest` — emit a validated constellation manifest as JSON
 //! * `node`     — run a live coordination-protocol node over TCP
 //! * `fuzz`     — seeded whole-stack scenario fuzzing with invariant oracles
-//! * `experiments` — run the paper's figure/ablation suite in one process
 //!
 //! Run `mpleo help` (or any subcommand with `--help`-style curiosity) for
 //! usage; every command works offline and completes in seconds.
@@ -54,7 +53,6 @@ fn main() -> ExitCode {
         Some("manifest") => commands::manifest(&parsed),
         Some("node") => commands::node(&parsed),
         Some("fuzz") => commands::fuzz(&parsed),
-        Some("experiments") => commands::experiments(&parsed),
         Some(other) => {
             eprintln!("error: unknown command '{other}'");
             print_help();
@@ -85,33 +83,27 @@ COMMANDS:
                 --lat DEG --lon DEG (default Taipei)
                 --region taiwan|ukraine|korea (overrides lat/lon)
                 --sats N (500) --days D (1) --step S (60) --mask DEG (25)
-                --threads N (0 = auto)
     plan      suggest gap-filling orbital slots for a new contribution
                 --contribute K (3) --base N (40) --days D (1)
-                --threads N (0 = auto)
     screen    conjunction screening of a synthesized constellation
                 --planes N (6) --per-plane M (6) --hours H (6)
                 --threshold KM (10)
     sla       quote the sellable service tier for a point
                 --lat DEG --lon DEG --sats N (500) --days D (1)
-                --threads N (0 = auto)
     cities    print the embedded 21-city dataset
     traffic   route diurnal metro demand over a shared constellation
                 --sats N (300) --hours H (12) --step S (600)
                 --parties P (3) --gateway-stride K (3)
                 --isl-range KM (3000) --max-hops N (1) --scale F (1)
                 --mask DEG (25)
-                --threads N (0 = auto)
     churn     run a timed failure/withdrawal campaign over the traffic stack
                 --sats N (300) --hours H (12) --step S (600)
                 --parties P (3) --gateway-stride K (3)
                 --fail-fraction F (0.1) --withdraw IDX|none (1)
                 --scale F (1) --mask DEG (25)
-                --threads N (0 = auto)
     map       ASCII world map of coverage fraction
                 --sats N (200) --hours H (12) --mask DEG (25)
                 --rows R (18) --cols C (72)
-                --threads N (0 = auto)
     audit     fit an orbit from synthetic ranging and audit a publication
                 --forge-raan DEG (0 = honest publication)
     manifest  emit a validated constellation manifest as JSON
@@ -128,16 +120,6 @@ COMMANDS:
                 --start-seed S (the CI smoke base seed)
                 --corpus DIR (re-check pinned tests/corpus entries first)
                 --out DIR (write failing repros as one-line JSON files)
-                --threads N (0 = auto)
-    experiments  run the paper's figure/ablation suite in one process
-                --list (print the registry) --only id,id --skip id,id
-                --out DIR (results/, JSON per experiment) --strict
-                --warn-only --sequential --quiet
-                --report (regenerate EXPERIMENTS.md) --report-only
-                --threads N (worker threads for the shared pool; 0 = auto)
-                fidelity via MPLEO_FULL / MPLEO_RUNS / MPLEO_HORIZON_S /
-                MPLEO_STEP_S; MPLEO_THREADS sets the worker count when
-                --threads is not given (0 or unset = auto-detect)
     help      this message
 
 All commands run fully offline on a synthetic Starlink-like pool."

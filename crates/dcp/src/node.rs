@@ -47,8 +47,6 @@ pub struct BackoffConfig {
     pub max: Duration,
     /// Give up after this many failed attempts (0 = retry until shutdown).
     pub max_attempts: u32,
-    /// Re-queue a dialed peer for redial when its connection drops.
-    pub reconnect: bool,
 }
 
 impl Default for BackoffConfig {
@@ -57,7 +55,6 @@ impl Default for BackoffConfig {
             initial: Duration::from_millis(50),
             max: Duration::from_secs(2),
             max_attempts: 8,
-            reconnect: true,
         }
     }
 }
@@ -88,9 +85,6 @@ pub struct NodeConfig {
     pub anti_entropy: Duration,
     /// Advertise the listen address and run peer exchange.
     pub advertise: bool,
-    /// When advertising, keep dialing discovered peers until this many
-    /// sessions are up.
-    pub target_degree: usize,
     /// Ticks of silence (anti-entropy intervals) before a peer is evicted.
     pub silence_limit: u32,
     /// Dial retry policy.
@@ -111,7 +105,6 @@ impl NodeConfig {
             control: None,
             anti_entropy: Duration::from_millis(200),
             advertise: false,
-            target_degree: 3,
             silence_limit: 50,
             backoff: BackoffConfig::default(),
         }
@@ -125,8 +118,11 @@ impl NodeConfig {
     }
 }
 
+/// When advertising, keep dialing discovered peers until this many sessions
+/// are up.
+const TARGET_DEGREE: usize = 3;
+
 struct PeerSlot {
-    id: Option<NodeId>,
     tx: mpsc::UnboundedSender<Message>,
     /// Ticks since we last heard a frame from this peer.
     silent_ticks: u32,
@@ -265,7 +261,7 @@ impl Node {
                                             let _ = p.tx.send(pex.clone());
                                         }
                                     }
-                                    let cands = st.book_addr.dial_candidates(config2.target_degree);
+                                    let cands = st.book_addr.dial_candidates(TARGET_DEGREE);
                                     for c in &cands {
                                         st.book_addr.mark_connected(*c); // optimistic
                                     }
@@ -464,7 +460,7 @@ fn spawn_peer(
         if let Some(announce) = st.gossip.anti_entropy_announce() {
             let _ = tx.send(announce);
         }
-        st.peers.push(PeerSlot { id: None, tx: tx.clone(), silent_ticks: 0 });
+        st.peers.push(PeerSlot { tx: tx.clone(), silent_ticks: 0 });
     }
 
     // Writer task.
@@ -512,7 +508,7 @@ fn spawn_peer(
         // We dialed this peer: hand the address back to the dialer so the
         // session is re-established with backoff once the peer returns.
         if let Some(addr) = dialed_addr {
-            if config.backoff.reconnect && !*shutdown.borrow() {
+            if !*shutdown.borrow() {
                 let _ = dial_tx.send(addr);
             }
         }
@@ -525,10 +521,7 @@ fn dispatch(st: &mut State, config: &NodeConfig, from: &mpsc::UnboundedSender<Me
         slot.silent_ticks = 0;
     }
     match msg {
-        Message::Hello { node_id, listen_addr } => {
-            if let Some(slot) = st.peers.iter_mut().find(|p| p.tx.same_channel(from)) {
-                slot.id = Some(node_id);
-            }
+        Message::Hello { listen_addr, .. } => {
             if let Some(addr) = listen_addr.and_then(|a| a.parse().ok()) {
                 st.book_addr.learn([addr]);
             }
@@ -773,7 +766,6 @@ mod tests {
         let mk = |id: &str| {
             let mut cfg = NodeConfig::sim(id, keys(), &net);
             cfg.advertise = true;
-            cfg.target_degree = 3;
             cfg.anti_entropy = Duration::from_millis(50);
             cfg
         };

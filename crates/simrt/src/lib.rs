@@ -9,20 +9,17 @@
 //!
 //! ## Execution model
 //!
-//! A parallel *scope* ([`par_map_indexed`], [`par_map_indexed_with`],
-//! [`par_for_each_mut`]) is a caller-participation construct: the calling
-//! thread enqueues up to `cap - 1` *helper* jobs on the pool and then
-//! joins the same index-claiming loop itself. Indices are
-//! claimed in blocks from a shared atomic counter, so a scope always makes
-//! progress even when every worker is busy elsewhere — the caller alone can
-//! finish the whole scope. Each claimant builds its task closure once from
-//! a shared factory, which is how [`par_map_indexed_with`] hands every
-//! participant a persistent thread-local scratch (built once, reused for
-//! every index that participant claims, never sent across threads). At
-//! scope exit, helpers that never started are cancelled (a queued job is a
-//! single compare-and-swap away from being a no-op) and running helpers are
-//! waited for; no work outlives the scope, so task closures may borrow
-//! from the caller's stack.
+//! A parallel *scope* ([`par_map_indexed`], [`par_for_each_mut`]) is a
+//! caller-participation construct: the calling thread enqueues up to
+//! `cap - 1` *helper* jobs on the pool and then joins the same
+//! index-claiming loop itself. Indices are claimed in blocks from a shared
+//! atomic counter, so a scope always makes progress even when every worker
+//! is busy elsewhere — the caller alone can finish the whole scope. Every
+//! claimant runs the same shared `Fn(usize)` closure; no state persists on a
+//! participant between indices. At scope exit, helpers that never started
+//! are cancelled (a queued job is a single compare-and-swap away from being
+//! a no-op) and running helpers are waited for; no work outlives the scope,
+//! so task closures may borrow from the caller's stack.
 //!
 //! ## Determinism contract
 //!
@@ -56,8 +53,9 @@
 //!
 //! The pool size resolves exactly once, from one place (the fix for the
 //! old scattered `available_parallelism().unwrap_or(4)` fallbacks):
-//! [`configure`] (CLI `--threads`) wins over a validated `MPLEO_THREADS`
-//! environment override, which wins over [`available_parallelism`].
+//! [`configure`] (an embedding program's explicit call) wins over a
+//! validated `MPLEO_THREADS` environment override, which wins over
+//! [`available_parallelism`].
 //! `0` always means "auto". [`with_thread_cap`] additionally caps scopes
 //! started by the current thread, which is how the determinism tests run
 //! threads=1 and threads=4 inside one process (the global pool cannot be
@@ -67,7 +65,7 @@ mod metrics;
 mod pool;
 
 pub use metrics::{global_metrics, take_thread_metrics, thread_metrics, ScopeMetrics};
-pub use pool::{par_for_each_mut, par_map_indexed, par_map_indexed_with};
+pub use pool::{par_for_each_mut, par_map_indexed};
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};

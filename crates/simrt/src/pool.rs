@@ -22,20 +22,13 @@ const QUEUED: u8 = 0;
 const RUNNING: u8 = 1;
 const CANCELLED: u8 = 2;
 
-/// One participant's task closure: built once per claimant by the scope's
-/// factory, then driven over every index that claimant wins. Being `FnMut`
-/// is the point — the closure owns per-participant scratch that persists
-/// across calls without ever crossing a thread boundary.
-type Task<'a> = Box<dyn FnMut(usize) + 'a>;
-
 /// The shared state of one parallel scope. Lives on the caller's stack for
 /// the duration of the scope; helpers reach it through a raw pointer that
 /// the slot-state protocol keeps from dangling.
 struct JobCore<'a> {
-    /// Participant factory: every claimant (caller and each helper) calls
-    /// this exactly once to build its own [`Task`], so scratch state lives
-    /// thread-local for the whole claim loop and needs no `Send` bound.
-    make: &'a (dyn Fn() -> Task<'a> + Sync),
+    /// The task every claimant (caller and each helper) runs on the indices
+    /// it wins.
+    task: &'a (dyn Fn(usize) + Sync),
     n: usize,
     /// Indices are claimed in blocks of this size (smaller blocks balance
     /// uneven tasks, larger ones amortize the atomic).
@@ -61,20 +54,9 @@ impl JobCore<'_> {
         }
     }
 
-    /// The claim loop every participant (caller and helpers) runs: build
-    /// this participant's task once, then drive it over claimed blocks.
+    /// The claim loop every participant (caller and helpers) runs.
     fn work(&self) {
         let t0 = Instant::now();
-        // The factory itself may panic (a scratch constructor); it must be
-        // caught here, not unwound through a pool worker's stack.
-        let mut task = match catch_unwind(AssertUnwindSafe(self.make)) {
-            Ok(task) => task,
-            Err(payload) => {
-                self.note_panic(payload);
-                self.busy_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                return;
-            }
-        };
         loop {
             if self.panicked.load(Ordering::Relaxed) {
                 break;
@@ -88,7 +70,7 @@ impl JobCore<'_> {
                 if self.panicked.load(Ordering::Relaxed) {
                     break;
                 }
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(i))) {
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.task)(i))) {
                     self.note_panic(payload);
                 }
             }
@@ -211,17 +193,17 @@ fn acquire_tokens(shared: &PoolShared, want: usize) -> usize {
     }
 }
 
-/// The scope core every public primitive compiles down to: each claimant
-/// builds a task via `make` once, then the tasks jointly cover `0..n` with
-/// at most `effective_cap(cap)` claimants, caller included.
-fn run_scope<'a>(n: usize, cap: usize, make: &'a (dyn Fn() -> Task<'a> + Sync)) {
+/// The scope core every public primitive compiles down to: `task` is run
+/// once for every index in `0..n` by at most `effective_cap(cap)`
+/// claimants, caller included.
+fn run_scope(n: usize, cap: usize, task: &(dyn Fn(usize) + Sync)) {
     if n == 0 {
         return;
     }
     let wall0 = Instant::now();
     let cap = crate::effective_cap(cap);
     let core = JobCore {
-        make,
+        task,
         n,
         block: (n / (cap * 4)).max(1),
         next: AtomicUsize::new(0),
@@ -320,41 +302,16 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    par_map_indexed_with(n, cap, || (), move |(), i| f(i))
-}
-
-/// [`par_map_indexed`] with persistent per-participant scratch: every
-/// claimant (the caller and each recruited helper) calls `init()` exactly
-/// once and then reuses that scratch for every index it claims, so `f` can
-/// run allocation-free in steady state. The scratch never crosses a thread
-/// boundary — it needs no `Send` bound and its mutations are invisible to
-/// other participants, so the determinism contract is unchanged:
-/// `out[i] == f(scratch, i)` must depend only on `i`, never on which
-/// indices the same participant saw before.
-///
-/// `cap` and panic semantics as in [`par_map_indexed`]; a panicking
-/// `init()` is carried to the caller the same way a panicking `f` is.
-pub fn par_map_indexed_with<T, S, I, F>(n: usize, cap: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
     let mut out: Vec<MaybeUninit<T>> = Vec::with_capacity(n);
     out.resize_with(n, MaybeUninit::uninit);
     let base = SendPtr(out.as_mut_ptr());
-    let init = &init;
-    let f = &f;
-    run_scope(n, cap, &move || -> Task<'_> {
-        let mut scratch = init();
-        Box::new(move |i| {
-            let base = base;
-            // SAFETY: index i is claimed by exactly one participant, and
-            // slot i is written only by the claimant of i.
-            unsafe {
-                (*base.0.add(i)).write(f(&mut scratch, i));
-            }
-        })
+    run_scope(n, cap, &move |i| {
+        let base = base;
+        // SAFETY: index i is claimed by exactly one participant, and slot i
+        // is written only by the claimant of i.
+        unsafe {
+            (*base.0.add(i)).write(f(i));
+        }
     });
     // run_scope returned normally, so every slot was claimed and written.
     let mut out = ManuallyDrop::new(out);
@@ -374,14 +331,11 @@ where
 {
     let n = items.len();
     let base = SendPtr(items.as_mut_ptr());
-    let f = &f;
-    run_scope(n, cap, &move || -> Task<'_> {
-        Box::new(move |i| {
-            let base = base;
-            // SAFETY: index i is claimed exactly once, so this is the only
-            // live &mut to items[i].
-            f(i, unsafe { &mut *base.0.add(i) });
-        })
+    run_scope(n, cap, &move |i| {
+        let base = base;
+        // SAFETY: index i is claimed exactly once, so this is the only live
+        // &mut to items[i].
+        f(i, unsafe { &mut *base.0.add(i) });
     });
 }
 
@@ -421,66 +375,6 @@ mod tests {
         // The pool must keep working after a panicked scope.
         let out = par_map_indexed(1000, 0, |i| i + 1);
         assert_eq!(out[999], 1000);
-    }
-
-    #[test]
-    fn map_with_builds_scratch_once_per_participant() {
-        use std::sync::atomic::AtomicUsize;
-        let inits = AtomicUsize::new(0);
-        crate::with_thread_cap(1, || {
-            let out = par_map_indexed_with(
-                5000,
-                0,
-                || {
-                    inits.fetch_add(1, Ordering::Relaxed);
-                    Vec::<u64>::with_capacity(64)
-                },
-                |scratch, i| {
-                    // Deterministic use of reused scratch: refill from i
-                    // every call, so the result depends only on i.
-                    scratch.clear();
-                    scratch.extend((0..16).map(|j| (i + j) as u64));
-                    scratch.iter().sum::<u64>()
-                },
-            );
-            assert_eq!(inits.load(Ordering::Relaxed), 1, "one participant, one scratch");
-            for (i, v) in out.iter().enumerate() {
-                let expect: u64 = (0..16).map(|j| (i + j) as u64).sum();
-                assert_eq!(*v, expect);
-            }
-        });
-    }
-
-    #[test]
-    fn map_with_results_are_thread_count_invariant() {
-        let run = |cap: usize| {
-            crate::with_thread_cap(cap, || {
-                par_map_indexed_with(
-                    2048,
-                    0,
-                    || vec![0u64; 32],
-                    |scratch, i| {
-                        for (j, s) in scratch.iter_mut().enumerate() {
-                            *s = (i * 31 + j) as u64;
-                        }
-                        scratch.iter().fold(0u64, |a, b| a.wrapping_mul(31).wrapping_add(*b))
-                    },
-                )
-            })
-        };
-        assert_eq!(run(1), run(4));
-    }
-
-    #[test]
-    fn map_with_propagates_init_panics_and_pool_survives() {
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            par_map_indexed_with(64, 0, || panic!("bad init"), |_: &mut (), i| i)
-        }));
-        let payload = caught.expect_err("init panic must propagate");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
-        assert!(msg.contains("bad init"), "unexpected payload {msg:?}");
-        let out = par_map_indexed(100, 0, |i| i + 1);
-        assert_eq!(out[99], 100);
     }
 
     #[test]

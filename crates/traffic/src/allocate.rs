@@ -35,10 +35,10 @@ impl StepAllocation {
     }
 }
 
-/// Reusable buffers for [`allocate_step_with`]: the engine's allocation
-/// fan-out keeps one per `simrt` participant so the progressive-filling
-/// rounds run with no per-step heap allocation in steady state (only the
-/// returned [`StepAllocation`] is freshly allocated).
+/// Reusable buffers for [`allocate_step_with`]: a sequential caller that
+/// keeps one across steps runs the progressive-filling rounds with no
+/// per-step heap allocation in steady state (only the returned
+/// [`StepAllocation`] is freshly allocated).
 #[derive(Debug, Default)]
 pub struct AllocScratch {
     caps: Vec<f64>,

@@ -500,17 +500,13 @@ pub fn run_campaign_with_routes(
     }
 
     // Parallel: recompute only the disturbed steps' routes, through the
-    // same step kernel as the baseline build — each participant reuses one
-    // scratch across the disturbed steps it claims.
+    // same step kernel as the baseline build.
     let sites: Vec<GroundSite> = cities.iter().map(|c| c.site()).collect();
     let kernel = StepKernel::new(store, &sites, gateways, sim, &cfg.traffic.graph);
-    let churn_steps: Vec<StepRoutes> =
-        simrt::par_map_indexed_with(steps, 0, StepScratch::default, |scratch, k| {
-            match &masks[k] {
-                None => baseline_routes.steps[k].clone(),
-                Some(m) => kernel.routes(scratch, k, Some(m)),
-            }
-        });
+    let churn_steps: Vec<StepRoutes> = simrt::par_map_indexed(steps, 0, |k| match &masks[k] {
+        None => baseline_routes.steps[k].clone(),
+        Some(m) => kernel.routes(&mut StepScratch::default(), k, Some(m)),
+    });
     let churn_routes = RouteTable {
         steps: churn_steps,
         terminals: baseline_routes.terminals.clone(),

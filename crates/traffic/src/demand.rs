@@ -160,9 +160,8 @@ impl DemandMatrix {
         out
     }
 
-    /// [`Self::step_offered`] into a reusable buffer — the step-kernel
-    /// shape: the engine's allocation fan-out gathers each step's column
-    /// into per-worker scratch instead of allocating a fresh `Vec`.
+    /// [`Self::step_offered`] into a caller-provided buffer, for sequential
+    /// loops over steps that reuse one column.
     pub fn step_offered_into(&self, k: usize, out: &mut Vec<f64>) {
         out.clear();
         out.reserve(self.cities.len());

@@ -11,7 +11,7 @@
 //! party's satellites relayed for anyone; `spare` is the unused capacity of
 //! its engaged satellites — the two quantities the capacity market prices.
 
-use crate::allocate::{allocate_step_with, AllocScratch, StepAllocation};
+use crate::allocate::{allocate_step, StepAllocation};
 use crate::demand::{DemandConfig, DemandMatrix};
 use crate::graph::{GraphConfig, RouteTable};
 use geodata::City;
@@ -222,27 +222,16 @@ pub fn run_traffic_with_routes(
     assert_eq!(routes.steps.len(), steps, "route table covers the demand grid");
     assert_eq!(routes.terminals.len(), n_cities, "route table covers the cities");
 
-    // Independent per-step allocation; results land in step order. Each
-    // `simrt` participant carries one scratch (offered-column buffer plus
-    // the allocator's round state) across every step it claims.
-    #[derive(Default)]
-    struct EngineScratch {
-        offered: Vec<f64>,
-        alloc: AllocScratch,
-    }
-    let allocations: Vec<StepAllocation> =
-        simrt::par_map_indexed_with(steps, 0, EngineScratch::default, |scratch, k| {
-            let EngineScratch { offered, alloc } = scratch;
-            demand.step_offered_into(k, offered);
-            allocate_step_with(
-                alloc,
-                offered,
-                &routes.steps[k],
-                cfg.sat_capacity_mbps,
-                cfg.gateway_capacity_mbps,
-                n_gateways,
-            )
-        });
+    // Independent per-step allocation; results land in step order.
+    let allocations: Vec<StepAllocation> = simrt::par_map_indexed(steps, 0, |k| {
+        allocate_step(
+            &demand.step_offered(k),
+            &routes.steps[k],
+            cfg.sat_capacity_mbps,
+            cfg.gateway_capacity_mbps,
+            n_gateways,
+        )
+    });
 
     // Sequential aggregation in fixed (step, city) order.
     let n_parties = parties.len();

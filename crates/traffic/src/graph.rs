@@ -19,7 +19,7 @@
 //! byte-identical at any thread count.
 //!
 //! The production per-step computation lives in [`crate::pipeline`]: a
-//! grid-pruned, scratch-reusing [`crate::pipeline::StepKernel`] shared by
+//! grid-pruned [`crate::pipeline::StepKernel`] shared by
 //! [`RouteTable::build`], the traffic engine, and the churn campaign
 //! engine. This module keeps the route/mask types and the brute-force
 //! [`step_routes_reference`] the kernel is property-tested against (the
@@ -102,8 +102,8 @@ impl RouteTable {
         graph: &GraphConfig,
     ) -> RouteTable {
         let kernel = StepKernel::new(store, terminals, gateways, sim, graph);
-        let steps = simrt::par_map_indexed_with(store.steps(), 0, StepScratch::default, |scratch, k| {
-            kernel.routes(scratch, k, None)
+        let steps = simrt::par_map_indexed(store.steps(), 0, |k| {
+            kernel.routes(&mut StepScratch::default(), k, None)
         });
         RouteTable {
             steps,

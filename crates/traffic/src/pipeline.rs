@@ -4,10 +4,10 @@
 //! [`StepKernel`] owns everything that is constant across steps (scene
 //! references, the elevation mask's sine, per-site pruning constants);
 //! [`StepScratch`] owns everything that varies per step (the positions
-//! column, the cell-grid index, the BFS chain and frontier queues) and is
-//! reused from step to step — each `simrt` participant carries one scratch
-//! through [`simrt::par_map_indexed_with`], so the hot loop performs no
-//! per-step heap allocation in steady state.
+//! column, the cell-grid index, the BFS chain and frontier queues): a
+//! caller-provided workspace whose contents never reach the output. The
+//! `simrt` fan-outs hand each step a fresh one; a sequential caller may
+//! keep one across steps to skip the buffer allocations.
 //!
 //! ## Grid-pruned candidate search
 //!
@@ -208,10 +208,9 @@ impl CellGrid {
     }
 }
 
-/// Per-participant scratch for the step kernel: everything the per-step
-/// computation writes, reused across the steps a `simrt` participant
-/// claims. `Default` is the empty scratch; buffers size themselves on
-/// first use and then stay allocated.
+/// Caller-provided workspace for the step kernel: everything the per-step
+/// computation writes. `Default` is the empty scratch; buffers size
+/// themselves on first use and stay allocated for a caller that reuses it.
 #[derive(Debug, Default)]
 pub struct StepScratch {
     positions: Vec<Vec3>,
@@ -234,8 +233,7 @@ pub struct StepScratch {
 
 /// The per-step routing kernel shared by [`crate::graph::RouteTable::build`],
 /// the traffic engine, and the churn campaign engine. Construct once per
-/// table build; call [`Self::routes`] per step with a per-participant
-/// [`StepScratch`].
+/// table build; call [`Self::routes`] per step with any [`StepScratch`].
 pub struct StepKernel<'a> {
     store: &'a EphemerisStore,
     terminals: &'a [GroundSite],
@@ -586,12 +584,15 @@ pub(crate) mod tests {
         mask: Option<&StepMask>,
     ) {
         let kernel = StepKernel::new(store, terminals, gateways, sim, graph);
-        // ONE scratch across every step: reuse must not leak state.
+        // ONE scratch across every step next to a fresh one per step:
+        // scratch contents must never reach the output.
         let mut scratch = StepScratch::default();
         for k in 0..store.steps() {
             let fast = kernel.routes(&mut scratch, k, mask);
             let slow = step_routes_reference(store, terminals, gateways, sim, graph, k, mask);
             assert_steps_bit_identical(&fast, &slow, &format!("step {k}"));
+            let cold = kernel.routes(&mut StepScratch::default(), k, mask);
+            assert_steps_bit_identical(&cold, &fast, &format!("step {k}, fresh scratch"));
         }
     }
 
