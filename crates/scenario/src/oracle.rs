@@ -546,6 +546,19 @@ mod tests {
     }
 
     #[test]
+    fn step_oracle_accepts_a_step_with_a_sub_eps_filling_round() {
+        // Satellite 0 is emptied by an increment below the allocator's
+        // freeze threshold; flow 3 on satellite 2 must still fill up
+        // (`allocate::tests::a_resource_emptied_by_a_sub_eps_round_...`).
+        let routes = StepRoutes {
+            routes: vec![route(0, 0, 1e9), route(0, 0, 1e9), route(1, 1, 1e9), route(2, 1, 1e9)],
+        };
+        let offered = [500.0, 500.0, 50.0 - 0.9e-9, 1000.0];
+        let alloc = allocate_step(&offered, &routes, 100.0, 1e9, 2);
+        check_step_allocation(0, &offered, &routes, &alloc, 100.0, 1e9, 2).unwrap();
+    }
+
+    #[test]
     fn over_capacity_allocation_is_caught() {
         let routes = StepRoutes { routes: vec![route(3, 0, 1e9)] };
         let mut alloc = allocate_step(&[50.0], &routes, 1e9, 1e9, 1);
