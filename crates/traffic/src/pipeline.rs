@@ -4,45 +4,60 @@
 //! [`StepKernel`] owns everything that is constant across steps (scene
 //! references, the elevation mask's sine, per-site pruning constants);
 //! [`StepScratch`] owns everything that varies per step (the positions
-//! column, the cell-grid index, the BFS chain and frontier queues): a
-//! caller-provided workspace whose contents never reach the output. The
-//! `simrt` fan-outs hand each step a fresh one; a sequential caller may
-//! keep one across steps to skip the buffer allocations.
+//! column, the two cell grids, the BFS chain, frontier and pending
+//! labels): a caller-provided workspace whose contents never reach the
+//! output. The `simrt` fan-outs hand each step a fresh one; a sequential
+//! caller may keep one across steps to skip the buffer allocations.
 //!
 //! ## Grid-pruned candidate search
 //!
 //! The kernel replaces the reference implementation's all-satellite scans
 //! (`O(sats)` per terminal, `O(sats²)` per ISL hop) with ball queries over
-//! a uniform [`CellGrid`] rebuilt per step:
+//! uniform [`CellGrid`]s. A grid keeps its members' coordinates in bucket
+//! order beside their rows, so a query streams contiguous memory. One grid
+//! per step holds every satellite; its cells are cut at the smallest radius
+//! any stage will query in the step (capped at a few cells a satellite).
 //!
-//! - **ISL neighbours** are searched within exactly `isl_range_km` of the
-//!   joining satellite.
-//! - **Site access** (gateway downlink and terminal uplink) is pruned by a
-//!   conservative slant-range bound: a site at geocentric radius `R` can
-//!   only see a satellite at radius `≤ r_max` above elevation `e` if their
-//!   distance is at most `sqrt(r_max² − R²·cos²e′) − R·sin e′`, where
-//!   `e′ = e − 0.25°` pads for the deflection between the site's geodetic
-//!   zenith (what [`orbital::frames::sin_elevation`] measures against) and
-//!   the geocentric radial (what the bound is derived from; the deflection
-//!   is at most ~0.192° on WGS84). A non-positive discriminant proves no
+//! - **Site access** (gateway downlink and terminal uplink) queries that
+//!   grid, pruned by a conservative slant-range bound: a site at geocentric
+//!   radius `R` can only see a satellite at radius `≤ r_max` above
+//!   elevation `e` if their distance is at most
+//!   `sqrt(r_max² − R²·cos²e′) − R·sin e′`, where `e′ = e − 0.25°` pads for
+//!   the deflection between the site's geodetic zenith (what
+//!   [`orbital::frames::sin_elevation`] measures against) and the
+//!   geocentric radial (what the bound is derived from; the deflection is
+//!   at most ~0.192° on WGS84). A non-positive discriminant proves no
 //!   satellite can be visible at all.
+//! - **ISL hops** go one way: before each hop the available satellites no
+//!   chain has reached yet are re-bucketed into the same cells as a second
+//!   grid, and every frontier member queries *that* within exactly
+//!   `isl_range_km`. A query meets nothing already chained, and a frontier
+//!   member whose neighbours all are costs its empty rows and no more.
 //!
 //! ## Determinism argument
 //!
 //! The reference kernel resolves every choice by a first-wins
 //! strict-less-than scan in ascending index order, which selects the
-//! lexicographic minimum of `(value, index)`. The grid visits candidates
-//! in bucket order instead, so every selection here compares
-//! `(value, index)` lexicographically and explicitly — same winner, any
-//! visitation order. The pruning radii are conservative supersets and
+//! lexicographic minimum of `(value, index)`. The grids visit candidates in
+//! bucket order instead, and the kernel reaches the same minimum in one of
+//! two ways. Where the tie-breaking index is the *visited* one — terminal
+//! access, `(path length, satellite)` — the comparison is lexicographic and
+//! explicit. Where it is the *visiting* one — downlink, `(range, gateway)`;
+//! ISL hop, `(chain length, frontier member)` — the outer loop ascends
+//! (gateways by index; the frontier read back off the chain in row order
+//! after every hop) and each satellite keeps its first strict improvement:
+//! the lowest index among equals, in whatever order buckets are swept. The
+//! pruning radii are conservative supersets, any cell size and any member
+//! list holding every eligible satellite yield a superset of the ball, and
 //! every candidate is re-checked with the exact reference predicates
 //! (visibility, range) before competing, so the surviving candidate set is
 //! identical. Winner fields are computed with the reference expressions in
 //! the reference order. The result is byte-identical to
-//! [`crate::graph::step_routes_reference`] — property-tested below over
-//! random constellations, ranges, and masks — and therefore byte-identical
-//! at any thread count, since each step is a pure function of `(step,
-//! mask)` fanned out index-deterministically.
+//! [`crate::graph::step_routes_reference`] — tested below over random
+//! constellations, pool samples, ranges, hop budgets and masks, and on a
+//! constructed exact tie — and therefore byte-identical at any thread
+//! count, since each step is a pure function of `(step, mask)` fanned out
+//! index-deterministically.
 
 use crate::graph::{Downlink, GraphConfig, Route, StepMask, StepRoutes};
 use leosim::ephemeris::EphemerisStore;
@@ -62,18 +77,34 @@ const ZENITH_PAD_DEG: f64 = 0.25;
 /// decided by exact predicates, so this only needs to be conservative.
 const AABB_SLACK_KM: f64 = 1e-6;
 
-/// Soft cap on grid cells per rebuild; the cell edge is doubled until the
-/// grid fits. Purely a memory/speed trade — any cell size yields the same
-/// routes because candidates are re-checked exactly.
-const MAX_CELLS: usize = 65_536;
+/// Cap on grid cells per rebuilt position; the cell edge is doubled until
+/// the grid fits, so a rebuild stays `O(positions)` however small the
+/// requested edge. Purely a memory/speed trade — any cell size yields the
+/// same routes because candidates are re-checked exactly.
+const CELLS_PER_POSITION: usize = 4;
 
-/// A uniform 3-D cell grid over one step's satellite positions, rebuilt in
-/// place each step (CSR buckets: `starts` offsets into `order`).
-#[derive(Debug, Default)]
-pub struct CellGrid {
+/// Cell edge of a step in which no stage has a positive finite radius,
+/// km. No site can see the shell then, so no chain starts and no ball query
+/// runs: any finite positive edge does.
+const FALLBACK_CELL_KM: f64 = 1000.0;
+
+/// The cell edge for one step, km: the smallest positive finite radius
+/// among `radii`, so every query spans a few cells of its own scale
+/// rather than one cell of the largest one's.
+fn cell_edge_km(radii: impl Iterator<Item = f64>) -> f64 {
+    let edge = radii.filter(|r| *r > 0.0).fold(f64::INFINITY, f64::min);
+    if edge.is_finite() {
+        edge
+    } else {
+        FALLBACK_CELL_KM
+    }
+}
+
+/// Where a grid's cells lie: shared by every member list bucketed into it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Frame {
     origin: Vec3,
-    cell_km: f64,
-    /// `1 / cell_km`: cell coordinates are computed by multiplication,
+    /// `1 / cell edge`: cell coordinates are computed by multiplication,
     /// which is much cheaper than division in the per-satellite loops.
     /// Rebuild and query use the *same* expression, and multiplication by
     /// a positive constant is monotone, so the query AABB always covers
@@ -82,20 +113,12 @@ pub struct CellGrid {
     nx: usize,
     ny: usize,
     nz: usize,
-    /// Bucket offsets, length `nx·ny·nz + 1`.
-    starts: Vec<usize>,
-    /// Satellite rows grouped by bucket, length `positions.len()`.
-    order: Vec<u32>,
-    /// Fill cursors, reused across rebuilds.
-    cursor: Vec<usize>,
-    /// Per-satellite cell ids computed once per rebuild.
-    cell_ids: Vec<u32>,
 }
 
-impl CellGrid {
+impl Frame {
     #[inline]
     fn cell_of(&self, p: Vec3) -> usize {
-        // Positions are inside the bounding box the grid was built from,
+        // Positions are inside the bounding box the frame was built from,
         // so the products are non-negative and truncation is floor.
         let ix = (((p.x - self.origin.x) * self.inv_cell) as usize).min(self.nx - 1);
         let iy = (((p.y - self.origin.y) * self.inv_cell) as usize).min(self.ny - 1);
@@ -103,21 +126,46 @@ impl CellGrid {
         (iz * self.ny + iy) * self.nx + ix
     }
 
-    /// Rebuild the grid over `positions` with cells of roughly `cell_km`
-    /// (doubled until the grid fits `MAX_CELLS`).
+    fn cells(&self) -> usize {
+        self.nx * self.ny * self.nz
+    }
+}
+
+/// One grid member in bucket order: its coordinates beside its satellite
+/// row, so a ball query streams contiguous memory.
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
+    p: Vec3,
+    id: u32,
+}
+
+/// A uniform 3-D cell grid over a subset of one step's satellite positions
+/// (the members), rebuilt in place (CSR buckets: `starts` offsets into
+/// `entries`). The kernel keeps two per step: every satellite, for the
+/// site stages, and — re-bucketed before each ISL hop into the same cells —
+/// the satellites no chain has reached yet.
+#[derive(Debug, Default)]
+pub struct CellGrid {
+    frame: Frame,
+    /// Bucket `c` is `entries[starts[c]..starts[c + 1]]`; length
+    /// `cells + 2` — the spare slot lets the counting sort fill in place.
+    starts: Vec<u32>,
+    /// The members grouped by bucket, ascending row within a bucket.
+    entries: Vec<Entry>,
+    /// Cell of every position given to `rebuild`, member or not: what
+    /// `rebucket` sorts a subset by. Empty in a grid only ever rebucketed.
+    cell_ids: Vec<u32>,
+}
+
+impl CellGrid {
+    /// Rebuild the grid over `positions`, every one a member, with cells of
+    /// roughly `cell_km` (doubled until the grid has at most
+    /// `CELLS_PER_POSITION` cells a position).
     pub fn rebuild(&mut self, positions: &[Vec3], cell_km: f64) {
         assert!(cell_km > 0.0 && cell_km.is_finite(), "bad cell size {cell_km}");
         let n = positions.len();
-        if n == 0 {
-            self.nx = 0;
-            self.ny = 0;
-            self.nz = 0;
-            self.starts.clear();
-            self.order.clear();
-            return;
-        }
-        let mut min = positions[0];
-        let mut max = positions[0];
+        let mut min = positions.first().copied().unwrap_or_default();
+        let mut max = min;
         for p in positions {
             min.x = min.x.min(p.x);
             min.y = min.y.min(p.y);
@@ -126,87 +174,114 @@ impl CellGrid {
             max.y = max.y.max(p.y);
             max.z = max.z.max(p.z);
         }
-        self.origin = min;
-        self.cell_km = cell_km;
-        loop {
-            self.nx = ((max.x - min.x) / self.cell_km) as usize + 1;
-            self.ny = ((max.y - min.y) / self.cell_km) as usize + 1;
-            self.nz = ((max.z - min.z) / self.cell_km) as usize + 1;
-            if self.nx * self.ny * self.nz <= MAX_CELLS {
-                break;
+        let mut cell_km = cell_km;
+        let axis = |extent: f64, cell_km: f64| ((extent / cell_km) as usize).saturating_add(1);
+        self.frame = loop {
+            let (nx, ny, nz) = (
+                axis(max.x - min.x, cell_km),
+                axis(max.y - min.y, cell_km),
+                axis(max.z - min.z, cell_km),
+            );
+            if nx.saturating_mul(ny).saturating_mul(nz) <= CELLS_PER_POSITION * n.max(1) {
+                break Frame { origin: min, inv_cell: 1.0 / cell_km, nx, ny, nz };
             }
-            self.cell_km *= 2.0;
-        }
-        self.inv_cell = 1.0 / self.cell_km;
-        let cells = self.nx * self.ny * self.nz;
-        self.starts.clear();
-        self.starts.resize(cells + 1, 0);
+            cell_km *= 2.0;
+        };
         let mut cell_ids = std::mem::take(&mut self.cell_ids);
         cell_ids.clear();
-        cell_ids.extend(positions.iter().map(|p| self.cell_of(*p) as u32));
+        cell_ids.extend(positions.iter().map(|p| self.frame.cell_of(*p) as u32));
+        self.bucket(&cell_ids, positions, 0..n as u32);
         self.cell_ids = cell_ids;
-        for &c in &self.cell_ids {
-            self.starts[c as usize + 1] += 1;
+    }
+
+    /// Make this the grid of `members` — ascending rows of the `positions`
+    /// `all` was last rebuilt over — in `all`'s cells.
+    fn rebucket(
+        &mut self,
+        all: &CellGrid,
+        positions: &[Vec3],
+        members: impl Iterator<Item = u32> + Clone,
+    ) {
+        self.frame = all.frame;
+        self.bucket(&all.cell_ids, positions, members);
+    }
+
+    /// Counting sort of `members` by cell, coordinates copied beside the
+    /// rows: `O(members + cells)`.
+    fn bucket(
+        &mut self,
+        cell_ids: &[u32],
+        positions: &[Vec3],
+        members: impl Iterator<Item = u32> + Clone,
+    ) {
+        let cells = self.frame.cells();
+        self.starts.clear();
+        self.starts.resize(cells + 2, 0);
+        for s in members.clone() {
+            self.starts[cell_ids[s as usize] as usize + 2] += 1;
         }
-        for c in 0..cells {
-            self.starts[c + 1] += self.starts[c];
+        for c in 2..cells + 2 {
+            self.starts[c] += self.starts[c - 1];
         }
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.starts[..cells]);
-        self.order.clear();
-        self.order.resize(n, 0);
-        for (s, &c) in self.cell_ids.iter().enumerate() {
-            self.order[self.cursor[c as usize]] = s as u32;
-            self.cursor[c as usize] += 1;
+        // `starts[c + 1]` is now where bucket `c` begins and serves as its
+        // fill cursor, which leaves it where bucket `c + 1` begins.
+        self.entries.clear();
+        self.entries.resize(self.starts[cells + 1] as usize, Entry::default());
+        for s in members {
+            let at = &mut self.starts[cell_ids[s as usize] as usize + 1];
+            self.entries[*at as usize] = Entry { p: positions[s as usize], id: s };
+            *at += 1;
         }
     }
 
-    /// Visit every satellite whose cell overlaps the ball of radius
-    /// `radius_km` around `q` — a superset of the satellites within the
-    /// ball; the caller re-checks exact predicates.
+    /// Visit every member whose cell overlaps the ball of radius
+    /// `radius_km` around `q`, with its slot in bucket order — a superset
+    /// of the members within the ball; the caller re-checks exact
+    /// predicates.
     #[inline]
-    pub fn query_ball(&self, q: Vec3, radius_km: f64, mut visit: impl FnMut(u32)) {
-        if self.nx == 0 {
+    fn query_ball(&self, q: Vec3, radius_km: f64, mut visit: impl FnMut(usize, &Entry)) {
+        if self.entries.is_empty() {
             return;
         }
+        let Frame { origin, inv_cell, nx, ny, nz } = self.frame;
         let r = radius_km + AABB_SLACK_KM;
         let lo = |v: f64, o: f64, n: usize| -> Option<usize> {
-            let c = (v - r - o) * self.inv_cell;
+            let c = (v - r - o) * inv_cell;
             if c >= n as f64 {
                 return None;
             }
             Some(if c < 0.0 { 0 } else { c as usize })
         };
         let hi = |v: f64, o: f64, n: usize| -> Option<usize> {
-            let c = (v + r - o) * self.inv_cell;
+            let c = (v + r - o) * inv_cell;
             if c < 0.0 {
                 return None;
             }
             Some((c as usize).min(n - 1))
         };
-        let (Some(x0), Some(x1)) = (lo(q.x, self.origin.x, self.nx), hi(q.x, self.origin.x, self.nx))
-        else {
+        let (Some(x0), Some(x1)) = (lo(q.x, origin.x, nx), hi(q.x, origin.x, nx)) else {
             return;
         };
-        let (Some(y0), Some(y1)) = (lo(q.y, self.origin.y, self.ny), hi(q.y, self.origin.y, self.ny))
-        else {
+        let (Some(y0), Some(y1)) = (lo(q.y, origin.y, ny), hi(q.y, origin.y, ny)) else {
             return;
         };
-        let (Some(z0), Some(z1)) = (lo(q.z, self.origin.z, self.nz), hi(q.z, self.origin.z, self.nz))
-        else {
+        let (Some(z0), Some(z1)) = (lo(q.z, origin.z, nz), hi(q.z, origin.z, nz)) else {
             return;
         };
         for iz in z0..=z1 {
             for iy in y0..=y1 {
-                let row = (iz * self.ny + iy) * self.nx;
-                let (a, b) = (self.starts[row + x0], self.starts[row + x1 + 1]);
-                for &s in &self.order[a..b] {
-                    visit(s);
+                let row = (iz * ny + iy) * nx;
+                let (a, b) = (self.starts[row + x0] as usize, self.starts[row + x1 + 1] as usize);
+                for (slot, e) in (a..b).zip(&self.entries[a..b]) {
+                    visit(slot, e);
                 }
             }
         }
     }
 }
+
+/// "No frontier member in range yet" in [`StepScratch`]'s `best`.
+const NO_LABEL: (f64, u32) = (f64::INFINITY, u32::MAX);
 
 /// Caller-provided workspace for the step kernel: everything the per-step
 /// computation writes. `Default` is the empty scratch; buffers size
@@ -214,19 +289,15 @@ impl CellGrid {
 #[derive(Debug, Default)]
 pub struct StepScratch {
     positions: Vec<Vec3>,
+    /// Every satellite, for the downlink and uplink stages.
     grid: CellGrid,
+    /// The `sat_ok` satellites no chain has reached, re-bucketed per hop.
+    unreached: CellGrid,
     chain: Vec<Option<Downlink>>,
     frontier: Vec<u32>,
-    next_frontier: Vec<u32>,
-    /// `frontier_mark[s] == mark` iff `s` is in the current BFS frontier.
-    frontier_mark: Vec<u64>,
-    mark: u64,
-    /// Best pending (chain length, frontier member) per unreached
-    /// satellite during a frontier-outer BFS hop; valid iff
-    /// `best_mark[s] == mark`.
-    best_d: Vec<f64>,
-    best_f: Vec<u32>,
-    best_mark: Vec<u64>,
+    /// Per `unreached` slot, the best pending (chain length, frontier
+    /// member) of the hop in progress.
+    best: Vec<(f64, u32)>,
     term_dmax: Vec<f64>,
     gw_dmax: Vec<f64>,
 }
@@ -287,20 +358,8 @@ impl<'a> StepKernel<'a> {
             assert_eq!(m.gateway_ok.len(), self.gateways.len(), "one flag per gateway");
             assert_eq!(m.terminal_factor.len(), self.terminals.len(), "one factor per terminal");
         }
-        let StepScratch {
-            positions,
-            grid,
-            chain,
-            frontier,
-            next_frontier,
-            frontier_mark,
-            mark,
-            best_d,
-            best_f,
-            best_mark,
-            term_dmax,
-            gw_dmax,
-        } = scratch;
+        let StepScratch { positions, grid, unreached, chain, frontier, best, term_dmax, gw_dmax } =
+            scratch;
         let sat_ok = |s: usize| mask.is_none_or(|m| m.sat_ok[s]);
 
         self.store.positions_at_step_into(k, positions);
@@ -329,12 +388,10 @@ impl<'a> StepKernel<'a> {
         gw_dmax.clear();
         gw_dmax.extend(self.gw_k1.iter().zip(&self.gw_k2).map(|(&k1, &k2)| dmax(k1, k2)));
 
-        let max_radius = gw_dmax
-            .iter()
-            .chain(term_dmax.iter())
-            .fold(self.graph.isl_range_km, |acc, &d| acc.max(d))
-            .max(1.0);
-        grid.rebuild(positions, max_radius);
+        let isl_range_km = self.graph.isl_range_km;
+        let queried = (self.graph.max_hops > 0).then_some(isl_range_km);
+        let site_radii = gw_dmax.iter().chain(term_dmax.iter()).copied();
+        grid.rebuild(positions, cell_edge_km(queried.into_iter().chain(site_radii)));
 
         // Layer 0, inverted: each gateway ball-queries its reachable shell
         // slice. Ascending gateway order plus strict `<` preserves the
@@ -346,13 +403,13 @@ impl<'a> StepKernel<'a> {
                 continue;
             }
             let prune_sq = pad_sq(gw_dmax[g]);
-            grid.query_ball(gw.ecef, gw_dmax[g], |s| {
-                let s = s as usize;
+            grid.query_ball(gw.ecef, gw_dmax[g], |_, e| {
+                let s = e.id as usize;
                 // `rel.norm_sq()` is bitwise symmetric in operand order, and
                 // its sqrt reproduces both `sin_elevation`'s norm and
                 // `Vec3::distance` exactly, so one computation serves the
                 // precheck, the visibility test, and the range.
-                let rel = positions[s] - gw.ecef;
+                let rel = e.p - gw.ecef;
                 let d_sq = rel.norm_sq();
                 if d_sq > prune_sq || !sat_ok(s) {
                     return;
@@ -370,108 +427,50 @@ impl<'a> StepKernel<'a> {
 
         // BFS layers: an unreached satellite joins the chain of the
         // frontier member minimizing (chain length, member index). Each hop
-        // runs in whichever direction scans fewer ball queries — both
-        // directions compute the same lexicographic minimum, so the choice
-        // affects speed only, never bits.
-        frontier.clear();
-        frontier.extend((0..n as u32).filter(|&s| chain[s as usize].is_some()));
-        if frontier_mark.len() != n {
-            frontier_mark.clear();
-            frontier_mark.resize(n, 0);
-            best_d.clear();
-            best_d.resize(n, 0.0);
-            best_f.clear();
-            best_f.resize(n, 0);
-            best_mark.clear();
-            best_mark.resize(n, 0);
-        }
-        let mut unchained = (0..n).filter(|&s| chain[s].is_none() && sat_ok(s)).count();
-        for _hop in 0..self.graph.max_hops {
-            if frontier.is_empty() || unchained == 0 {
+        // buckets the satellites still to be reached — those alone, so a
+        // query meets nothing already chained — and sweeps the frontier
+        // over them in ascending index, so strict `<` per slot is that
+        // lexicographic minimum.
+        let prune_sq = pad_sq(isl_range_km);
+        for hop in 0..self.graph.max_hops {
+            // The layer reached last: ascending, as the reference's is.
+            frontier.clear();
+            let reached_last = |&s: &u32| chain[s as usize].as_ref().is_some_and(|c| c.hops == hop);
+            frontier.extend((0..n as u32).filter(reached_last));
+            if frontier.is_empty() {
                 break;
             }
-            *mark += 1;
-            next_frontier.clear();
-            if frontier.len() <= unchained {
-                // Frontier-outer: ball-query around each frontier member
-                // (ascending index) and keep each candidate's best
-                // (chain length, member) — strict `<` suffices because the
-                // member index ascends across the sweep.
-                let prune_sq = pad_sq(self.graph.isl_range_km);
-                for &f in frontier.iter() {
-                    let prev = chain[f as usize].as_ref().expect("frontier is reached");
-                    grid.query_ball(positions[f as usize], self.graph.isl_range_km, |s| {
-                        let su = s as usize;
-                        let d_sq = (positions[f as usize] - positions[su]).norm_sq();
-                        if chain[su].is_some() || d_sq > prune_sq || !sat_ok(su) {
-                            return;
-                        }
-                        let d = d_sq.sqrt();
-                        if d > self.graph.isl_range_km {
-                            return;
-                        }
-                        let dist = prev.dist_km + d;
-                        if best_mark[su] != *mark || dist < best_d[su] {
-                            best_mark[su] = *mark;
-                            best_d[su] = dist;
-                            best_f[su] = f;
-                        }
-                    });
-                }
-                for s in 0..n {
-                    if best_mark[s] != *mark {
-                        continue;
+            let still_out = |&s: &u32| chain[s as usize].is_none() && sat_ok(s as usize);
+            unreached.rebucket(grid, positions, (0..n as u32).filter(still_out));
+            best.clear();
+            best.resize(unreached.entries.len(), NO_LABEL);
+            for &f in frontier.iter() {
+                let from = positions[f as usize];
+                let prev_km = chain[f as usize].as_ref().expect("frontier is reached").dist_km;
+                unreached.query_ball(from, isl_range_km, |slot, e| {
+                    let d_sq = (from - e.p).norm_sq();
+                    if d_sq > prune_sq {
+                        return;
                     }
-                    let prev = chain[best_f[s] as usize].as_ref().expect("frontier is reached");
-                    chain[s] = Some(Downlink {
-                        gateway: prev.gateway,
-                        dist_km: best_d[s],
-                        hops: prev.hops + 1,
-                        down_range_km: prev.down_range_km,
-                    });
-                    next_frontier.push(s as u32);
-                }
-            } else {
-                // Sat-outer: ball-query around each unreached satellite and
-                // minimize over the frontier members it finds.
-                for &f in frontier.iter() {
-                    frontier_mark[f as usize] = *mark;
-                }
-                for s in 0..n {
-                    if chain[s].is_some() || !sat_ok(s) {
-                        continue;
+                    let d = d_sq.sqrt();
+                    let dist_km = prev_km + d;
+                    if d <= isl_range_km && dist_km < best[slot].0 {
+                        best[slot] = (dist_km, f);
                     }
-                    let mut best: Option<(f64, u32)> = None;
-                    let prune_sq = pad_sq(self.graph.isl_range_km);
-                    grid.query_ball(positions[s], self.graph.isl_range_km, |f| {
-                        let d_sq = (positions[f as usize] - positions[s]).norm_sq();
-                        if frontier_mark[f as usize] != *mark || d_sq > prune_sq {
-                            return;
-                        }
-                        let d = d_sq.sqrt();
-                        if d > self.graph.isl_range_km {
-                            return;
-                        }
-                        let prev = chain[f as usize].as_ref().expect("frontier is reached");
-                        let dist = prev.dist_km + d;
-                        if best.is_none_or(|(bd, bf)| dist < bd || (dist == bd && f < bf)) {
-                            best = Some((dist, f));
-                        }
-                    });
-                    if let Some((dist, f)) = best {
-                        let prev = chain[f as usize].as_ref().expect("frontier is reached");
-                        chain[s] = Some(Downlink {
-                            gateway: prev.gateway,
-                            dist_km: dist,
-                            hops: prev.hops + 1,
-                            down_range_km: prev.down_range_km,
-                        });
-                        next_frontier.push(s as u32);
-                    }
-                }
+                });
             }
-            unchained -= next_frontier.len();
-            std::mem::swap(frontier, next_frontier);
+            for (e, &(dist_km, f)) in unreached.entries.iter().zip(best.iter()) {
+                if f == NO_LABEL.1 {
+                    continue;
+                }
+                let prev = chain[f as usize].as_ref().expect("frontier is reached");
+                chain[e.id as usize] = Some(Downlink {
+                    gateway: prev.gateway,
+                    dist_km,
+                    hops: prev.hops + 1,
+                    down_range_km: prev.down_range_km,
+                });
+            }
         }
 
         // Terminal access: ball query, then the exact reference selection —
@@ -489,8 +488,9 @@ impl<'a> StepKernel<'a> {
                 }
                 let mut best: Option<(f64, u32, f64)> = None;
                 let prune_sq = pad_sq(term_dmax[ti]);
-                grid.query_ball(t.ecef, term_dmax[ti], |s| {
-                    let rel = positions[s as usize] - t.ecef;
+                grid.query_ball(t.ecef, term_dmax[ti], |_, e| {
+                    let s = e.id;
+                    let rel = e.p - t.ecef;
                     let d_sq = rel.norm_sq();
                     if chain[s as usize].is_none() || d_sq > prune_sq {
                         return;
@@ -575,25 +575,49 @@ pub(crate) mod tests {
         }
     }
 
-    fn check_store_matches_reference(
+    /// What [`check_store_matches_reference`] saw besides equality: routes
+    /// of three hops or more, and calls whose last swept hop had a frontier
+    /// larger / smaller than the unreached set it swept.
+    #[derive(Debug, Default)]
+    pub(crate) struct Seen {
+        deep_routes: usize,
+        frontier_larger: usize,
+        frontier_smaller: usize,
+    }
+
+    /// The sea-level site a satellite at `p` is overhead of.
+    fn under(name: &str, p: Vec3) -> GroundSite {
+        use orbital::frames::{ecef_to_geodetic, Geodetic};
+        GroundSite::new(name, Geodetic { altitude_km: 0.0, ..ecef_to_geodetic(p) })
+    }
+
+    pub(crate) fn check_store_matches_reference(
         store: &EphemerisStore,
         terminals: &[GroundSite],
         gateways: &[GroundSite],
         sim: &SimConfig,
         graph: &GraphConfig,
         mask: Option<&StepMask>,
-    ) {
+    ) -> Seen {
         let kernel = StepKernel::new(store, terminals, gateways, sim, graph);
         // ONE scratch across every step next to a fresh one per step:
         // scratch contents must never reach the output.
         let mut scratch = StepScratch::default();
+        let mut seen = Seen::default();
         for k in 0..store.steps() {
             let fast = kernel.routes(&mut scratch, k, mask);
             let slow = step_routes_reference(store, terminals, gateways, sim, graph, k, mask);
             assert_steps_bit_identical(&fast, &slow, &format!("step {k}"));
             let cold = kernel.routes(&mut StepScratch::default(), k, mask);
             assert_steps_bit_identical(&cold, &fast, &format!("step {k}, fresh scratch"));
+            // Ties rest on the sweep order: the frontier ascends.
+            assert!(scratch.frontier.windows(2).all(|w| w[0] < w[1]), "step {k}: frontier order");
+            let (f, u) = (scratch.frontier.len(), scratch.unreached.entries.len());
+            seen.deep_routes += fast.routes.iter().flatten().filter(|r| r.hops >= 3).count();
+            seen.frontier_larger += (u > 0 && f > u) as usize;
+            seen.frontier_smaller += (f > 0 && f < u) as usize;
         }
+        seen
     }
 
     #[test]
@@ -646,6 +670,207 @@ pub(crate) mod tests {
             &GraphConfig::default(),
             Some(&mask),
         );
+    }
+
+    /// Any-to-any ISLs: the cell edge comes from the smallest radius a
+    /// stage queries, so an infinite one leaves it finite (the largest would
+    /// not). Beside it, the ranges no ISL satisfies.
+    #[test]
+    fn infinite_isl_range_equals_the_reference() {
+        let spec = ShellSpec { planes: 6, sats_per_plane: 8, ..ShellSpec::starlink_like() };
+        let sats = walker_delta(&spec, epoch());
+        let grid = TimeGrid::new(epoch(), 3600.0, 600.0);
+        let store = EphemerisStore::build(&sats, &grid, &SimConfig::default());
+        let cities = geodata::paper_cities();
+        let terminals: Vec<GroundSite> = cities.iter().take(8).map(|c| c.site()).collect();
+        let gateways = crate::graph::gateways_every_nth(&cities[..8], 3);
+        for isl_range_km in [f64::INFINITY, f64::NAN, -1.0] {
+            let graph = GraphConfig { isl_range_km, max_hops: 2, ..GraphConfig::default() };
+            check_store_matches_reference(
+                &store,
+                &terminals,
+                &gateways,
+                &SimConfig::default(),
+                &graph,
+                None,
+            );
+        }
+    }
+
+    /// A seeded `sample`-satellite draw of the Starlink pool over an hour,
+    /// the paper's cities with a gateway at every eighth, and a mask with a
+    /// third of the satellites down, gateway 0 out and one terminal faded.
+    pub(crate) fn pool_sample_scene(
+        seed: u64,
+        sample: usize,
+    ) -> (EphemerisStore, Vec<GroundSite>, Vec<GroundSite>, StepMask) {
+        use leosim::montecarlo::{run_rng, sample_indices};
+        let pool = orbital::constellation::starlink_gen1_pool(epoch());
+        let idx = sample_indices(&mut run_rng(seed, 0), pool.len(), sample);
+        let sats: Vec<_> = idx.iter().map(|&i| pool[i].clone()).collect();
+        let grid = TimeGrid::new(epoch(), 3600.0, 600.0);
+        let store = EphemerisStore::build(&sats, &grid, &SimConfig::default());
+        let cities = geodata::paper_cities();
+        let terminals: Vec<GroundSite> = cities.iter().map(|c| c.site()).collect();
+        let gateways = crate::graph::gateways_every_nth(&cities, 8);
+        let mut mask = StepMask::nominal(sample, gateways.len(), terminals.len());
+        for s in (0..sample).step_by(3) {
+            mask.sat_ok[s] = false;
+        }
+        mask.gateway_ok[0] = false;
+        mask.terminal_factor[2] = 0.3;
+        (store, terminals, gateways, mask)
+    }
+
+    /// Kernel ≡ reference where the hops are deep and the layers large:
+    /// seeded pool samples × hop budgets × ISL ranges × {nominal, masked}.
+    /// (`proptests::grid_kernel_equals_brute_force_at_depth` is the same
+    /// property with shrinking; this one runs without `proptest`.)
+    #[test]
+    fn kernel_matches_reference_at_depth_on_pool_samples() {
+        let sim = SimConfig::default();
+        let mut seen = Seen::default();
+        for (seed, sample) in [(21, 150), (22, 400)] {
+            let (store, terminals, gateways, mask) = pool_sample_scene(seed, sample);
+            // Every budget, so each hop is some run's last: what the
+            // scratch shows afterwards.
+            for max_hops in 1..=6 {
+                for isl_range_km in [800.0, 3000.0, 6000.0] {
+                    let graph = GraphConfig { isl_range_km, max_hops, ..GraphConfig::default() };
+                    for mask in [None, Some(&mask)] {
+                        let s = check_store_matches_reference(
+                            &store, &terminals, &gateways, &sim, &graph, mask,
+                        );
+                        seen.deep_routes += s.deep_routes;
+                        seen.frontier_larger += s.frontier_larger;
+                        seen.frontier_smaller += s.frontier_smaller;
+                    }
+                }
+            }
+        }
+        // (500 / 46 / 285 under the offline stand-in `rand`.)
+        assert!(
+            seen.deep_routes >= 20 && seen.frontier_larger >= 5 && seen.frontier_smaller >= 20,
+            "vacuous: {seen:?}"
+        );
+    }
+
+    /// Every satellite twice, as identical rows: every chain length ties
+    /// with its twin's, every cell holds repeated members and every twin
+    /// pair is a zero-length ISL.
+    #[test]
+    fn duplicated_satellites_equal_the_reference() {
+        let spec = ShellSpec { planes: 5, sats_per_plane: 7, ..ShellSpec::starlink_like() };
+        let shell = walker_delta(&spec, epoch());
+        let sats: Vec<_> = shell.iter().flat_map(|s| [s.clone(), s.clone()]).collect();
+        let grid = TimeGrid::new(epoch(), 3600.0, 600.0);
+        let store = EphemerisStore::build(&sats, &grid, &SimConfig::default());
+        let cities = geodata::paper_cities();
+        let terminals: Vec<GroundSite> = cities.iter().take(10).map(|c| c.site()).collect();
+        let gateways = crate::graph::gateways_every_nth(&cities[..10], 4);
+        let mut mask = StepMask::nominal(sats.len(), gateways.len(), terminals.len());
+        for s in (0..sats.len()).step_by(3) {
+            mask.sat_ok[s] = false;
+        }
+        let graph = GraphConfig { max_hops: 3, ..GraphConfig::default() };
+        for mask in [None, Some(&mask)] {
+            check_store_matches_reference(
+                &store,
+                &terminals,
+                &gateways,
+                &SimConfig::default(),
+                &graph,
+                mask,
+            );
+        }
+    }
+
+    /// The ISL range is exact, not the padded square the precheck prunes
+    /// by: a ring whose only chain is `t-a-a0-G` routes at the longer of its
+    /// two links and not a tenth of a millimetre under it.
+    #[test]
+    fn isl_range_is_exact_beside_the_padded_precheck() {
+        let ring = single_plane(20, 550.0, 53.0, epoch());
+        let grid = TimeGrid::new(epoch(), 1800.0, 600.0);
+        let sim = SimConfig::default();
+        let store = EphemerisStore::build(&ring, &grid, &sim);
+        let (a0, a, t) = (0, 1, 2);
+        let mut routed = [0usize; 2];
+        for k in 0..store.steps() {
+            let p = |s: usize| store.position(s, k);
+            let (terminals, gateways) = ([under("T", p(t))], [under("G", p(a0))]);
+            let link_km = p(a0).distance(p(a)).max(p(a).distance(p(t)));
+            for (i, isl_range_km) in [link_km, link_km - 1e-7].into_iter().enumerate() {
+                let graph = GraphConfig { isl_range_km, max_hops: 2, ..GraphConfig::default() };
+                let kernel = StepKernel::new(&store, &terminals, &gateways, &sim, &graph);
+                let fast = kernel.routes(&mut StepScratch::default(), k, None);
+                let slow =
+                    step_routes_reference(&store, &terminals, &gateways, &sim, &graph, k, None);
+                assert_steps_bit_identical(&fast, &slow, &format!("step {k} range {isl_range_km}"));
+                routed[i] += fast.routes[0].is_some() as usize;
+            }
+        }
+        assert_eq!(routed, [store.steps(), 0]);
+    }
+
+    /// Twins share their labels, so which twin wins a tie never shows. This
+    /// scene makes a tie that does: a ring `a0 a t b b0` of one plane's
+    /// neighbours, gateway 0 under `a0`, gateway 1 under `b0`, a terminal
+    /// under `t`, and gateway 1 moved (by far less than a micrometre) to
+    /// where the chains `t-a-a0-G0` and `t-b-b0-G1` are the same `f64`. The
+    /// reference gives `t` to the lower row of `a`/`b`; the kernel has only
+    /// its sweep order to do the same with, in either row order.
+    #[test]
+    fn an_exact_tie_between_frontier_members_goes_to_the_lower_row() {
+        let ring = single_plane(20, 550.0, 53.0, epoch());
+        let grid = TimeGrid::new(epoch(), 3600.0, 300.0);
+        let sim = SimConfig::default();
+        let graph = GraphConfig { max_hops: 2, ..GraphConfig::default() };
+        let (mut winners, mut split_cells) = ([0usize; 2], 0);
+        for reversed in [false, true] {
+            let sats: Vec<_> =
+                if reversed { ring.iter().rev().cloned().collect() } else { ring.clone() };
+            let store = EphemerisStore::build(&sats, &grid, &sim);
+            // Rows of the ring's first five satellites in this order.
+            let row = |i: usize| if reversed { ring.len() - 1 - i } else { i };
+            let [a0, a, t, b, b0] = [0, 1, 2, 3, 4].map(row);
+            for k in 0..store.steps() {
+                let p = |s: usize| store.position(s, k);
+                let via = |gw: Vec3, s0: usize, s1: usize| {
+                    gw.distance(p(s0)) + p(s0).distance(p(s1)) + p(s1).distance(p(t))
+                };
+                let terminals = [under("T", p(t))];
+                let mut gateways = [under("G0", p(a0)), under("G1", p(b0))];
+                let target = via(gateways[0].ecef, a0, a);
+                // Radially to within rounding (the downlink is all but
+                // radial, so a few rounds), then every combination of a few
+                // ulps on the three coordinates: together they reach each
+                // `f64` around the target.
+                let g1 = (0..4).fold(gateways[1].ecef, |g1, _| {
+                    g1 * (1.0 - (target - via(g1, b0, b)) / g1.norm())
+                });
+                let nudged = |c: f64, ulps: i64| f64::from_bits((c.to_bits() as i64 + ulps) as u64);
+                let ulps = || -12..=12i64;
+                gateways[1].ecef = ulps()
+                    .flat_map(|i| ulps().flat_map(move |j| ulps().map(move |l| (i, j, l))))
+                    .map(|(i, j, l)| Vec3::new(nudged(g1.x, i), nudged(g1.y, j), nudged(g1.z, l)))
+                    .find(|&g1| via(g1, b0, b) == target)
+                    .expect("an exact tie a few ulps away");
+                let kernel = StepKernel::new(&store, &terminals, &gateways, &sim, &graph);
+                let mut scratch = StepScratch::default();
+                let fast = kernel.routes(&mut scratch, k, None);
+                let slow =
+                    step_routes_reference(&store, &terminals, &gateways, &sim, &graph, k, None);
+                assert_steps_bit_identical(&fast, &slow, &format!("reversed {reversed} step {k}"));
+                let route = fast.routes[0].expect("t is two hops from either gateway");
+                assert_eq!((route.sat, route.hops), (t, 2));
+                assert_eq!(route.gateway, (b < a) as usize, "the lower row's gateway");
+                winners[route.gateway] += 1;
+                split_cells += (scratch.grid.cell_ids[a] != scratch.grid.cell_ids[b]) as usize;
+            }
+        }
+        // Both gateways won, and bucket order could have told `a` from `b`.
+        assert!(winners[0] > 0 && winners[1] > 0 && split_cells > 0, "{winners:?} {split_cells}");
     }
 
     /// What licenses the experiments to read connectivity and bent-pipe
@@ -753,24 +978,84 @@ pub(crate) mod tests {
         let sats = walker_delta(&spec, epoch());
         let grid_t = TimeGrid::new(epoch(), 3600.0, 600.0);
         let store = EphemerisStore::build(&sats, &grid_t, &SimConfig::default());
+        let n = store.sat_count() as u32;
+        let member_lists: [Vec<u32>; 4] =
+            [(0..n).collect(), (0..n).step_by(3).collect(), vec![], vec![17]];
         let mut positions = Vec::new();
         for k in 0..store.steps() {
             store.positions_at_step_into(k, &mut positions);
-            let mut grid = CellGrid::default();
+            let (mut grid, mut subset) = (CellGrid::default(), CellGrid::default());
             for cell_km in [400.0, 1500.0, 9000.0] {
                 grid.rebuild(&positions, cell_km);
-                for (q, radius) in
-                    [(positions[0], 3000.0), (Vec3::new(6371.0, 0.0, 0.0), 2500.0)]
-                {
-                    let mut hit = vec![false; positions.len()];
-                    grid.query_ball(q, radius, |s| hit[s as usize] = true);
-                    for (s, p) in positions.iter().enumerate() {
-                        if p.distance(q) <= radius {
-                            assert!(hit[s], "cell {cell_km}: sat {s} within {radius} missed");
+                for members in &member_lists {
+                    subset.rebucket(&grid, &positions, members.iter().copied());
+                    assert_eq!(subset.entries.len(), members.len());
+                    for (q, radius) in
+                        [(positions[0], 3000.0), (Vec3::new(6371.0, 0.0, 0.0), 2500.0)]
+                    {
+                        let mut hit = vec![false; positions.len()];
+                        subset.query_ball(q, radius, |slot, e| {
+                            assert_eq!(subset.entries[slot].id, e.id);
+                            assert_eq!(e.p, positions[e.id as usize]);
+                            hit[e.id as usize] = true;
+                        });
+                        for (s, p) in positions.iter().enumerate() {
+                            let member = members.contains(&(s as u32));
+                            assert!(member || !hit[s], "cell {cell_km}: non-member {s} visited");
+                            if member && p.distance(q) <= radius {
+                                assert!(hit[s], "cell {cell_km}: sat {s} within {radius} missed");
+                            }
                         }
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn cell_edge_is_the_smallest_positive_finite_radius() {
+        let edge = |radii: &[f64]| cell_edge_km(radii.iter().copied());
+        assert_eq!(edge(&[3000.0, 1100.0, 1900.0]), 1100.0);
+        assert_eq!(edge(&[f64::INFINITY, 0.0, -5.0, f64::NAN, 1100.0]), 1100.0);
+        for none in [&[][..], &[0.0, -1.0], &[f64::INFINITY], &[f64::NAN]] {
+            assert_eq!(edge(none), FALLBACK_CELL_KM);
+        }
+    }
+
+    /// The edge rule's corners through the kernel: equality with the
+    /// reference, and the grid each leaves in the scratch.
+    #[test]
+    fn cell_edge_corners_equal_the_reference() {
+        let sim = SimConfig::default();
+        let grid = TimeGrid::new(epoch(), 1800.0, 600.0);
+        let cities = geodata::paper_cities();
+        let terminals: Vec<GroundSite> = cities.iter().take(8).map(|c| c.site()).collect();
+        let gateways = crate::graph::gateways_every_nth(&cities[..8], 3);
+        let spec = ShellSpec { planes: 6, sats_per_plane: 8, ..ShellSpec::starlink_like() };
+        let shell = walker_delta(&spec, epoch());
+        // (satellites, ISL range, hops, smallest cell edge the grid may have)
+        let corners = [
+            // 50 km cells over a shell would be ~10⁷ of them: the cap holds,
+            // as it does where the count overflows.
+            (48, 50.0, 2, 50.0),
+            (48, 1e-300, 2, 50.0),
+            // Bent pipe never queries the ISL range, so it sets no edge.
+            (48, 1e-3, 0, 500.0),
+            (48, f64::INFINITY, 0, 500.0),
+            (1, 3000.0, 2, 500.0),
+            (0, 3000.0, 2, FALLBACK_CELL_KM),
+        ];
+        for (n, isl_range_km, max_hops, min_edge_km) in corners {
+            let store = EphemerisStore::build(&shell[..n], &grid, &sim);
+            let graph = GraphConfig { isl_range_km, max_hops, ..GraphConfig::default() };
+            check_store_matches_reference(&store, &terminals, &gateways, &sim, &graph, None);
+            let mut scratch = StepScratch::default();
+            let kernel = StepKernel::new(&store, &terminals, &gateways, &sim, &graph);
+            kernel.routes(&mut scratch, 0, None);
+            let frame = scratch.grid.frame;
+            let ctx = format!("{n} sats, range {isl_range_km}, {max_hops} hops: {frame:?}");
+            assert!(frame.cells() <= CELLS_PER_POSITION * n.max(1), "{ctx}");
+            assert!(1.0 / frame.inv_cell >= min_edge_km, "{ctx}");
         }
     }
 }
@@ -916,6 +1201,29 @@ mod proptests {
                     }
                 }
             }
+        }
+
+        /// The same equality where hops are deep and layers large: seeded
+        /// draws of the Starlink pool, up to six hops, frontiers larger and
+        /// smaller than what they sweep, with and without a mask.
+        #[test]
+        fn grid_kernel_equals_brute_force_at_depth(
+            seed in 0u64..1_000,
+            sample in 50usize..300,
+            max_hops in 1usize..7,
+            isl_range_km in 600.0f64..6500.0,
+            masked in any::<bool>(),
+        ) {
+            let (store, terminals, gateways, mask) = super::tests::pool_sample_scene(seed, sample);
+            let graph = GraphConfig { isl_range_km, max_hops, ..GraphConfig::default() };
+            super::tests::check_store_matches_reference(
+                &store,
+                &terminals,
+                &gateways,
+                &SimConfig::default(),
+                &graph,
+                masked.then_some(&mask),
+            );
         }
     }
 }
