@@ -25,66 +25,95 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
-/// Compute the SHA-256 digest of a byte slice.
-pub fn sha256(data: &[u8]) -> [u8; 32] {
-    // Pad: message || 0x80 || zeros || 64-bit big-endian bit length.
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    let mut msg = data.to_vec();
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
-    }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
-
-    let mut h = H0;
+/// One application of the FIPS 180-4 §6.2.2 compression function.
+fn compress(h: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
-    for block in msg.chunks_exact(64) {
-        for (i, word) in w.iter_mut().take(16).enumerate() {
-            *word = u32::from_be_bytes([block[4 * i], block[4 * i + 1], block[4 * i + 2], block[4 * i + 3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let t1 = hh
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            hh = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        h[0] = h[0].wrapping_add(a);
-        h[1] = h[1].wrapping_add(b);
-        h[2] = h[2].wrapping_add(c);
-        h[3] = h[3].wrapping_add(d);
-        h[4] = h[4].wrapping_add(e);
-        h[5] = h[5].wrapping_add(f);
-        h[6] = h[6].wrapping_add(g);
-        h[7] = h[7].wrapping_add(hh);
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
     }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let t1 = hh
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        hh = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (word, add) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
+        *word = word.wrapping_add(add);
+    }
+}
+
+/// SHA-256 of the concatenation of `parts`, which is never built: full
+/// blocks are compressed straight from each part, and one stack block
+/// carries the bytes left over between parts and then the padding
+/// (`0x80`, zeros, the 64-bit big-endian bit length of *all* parts — a
+/// second block when fewer than 8 bytes are free after the `0x80`).
+fn sha256_parts(parts: &[&[u8]]) -> [u8; 32] {
+    let mut h = H0;
+    let mut tail = [0u8; 64];
+    let mut filled = 0;
+    let mut len = 0u64;
+    for part in parts {
+        len = len.wrapping_add(part.len() as u64);
+        let mut data = *part;
+        if filled > 0 {
+            let take = data.len().min(64 - filled);
+            tail[filled..filled + take].copy_from_slice(&data[..take]);
+            filled += take;
+            data = &data[take..];
+            if filled < 64 {
+                continue;
+            }
+            compress(&mut h, &tail);
+        }
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            compress(&mut h, block.try_into().expect("chunks_exact(64) yields 64 bytes"));
+        }
+        filled = blocks.remainder().len();
+        tail[..filled].copy_from_slice(blocks.remainder());
+    }
+    tail[filled] = 0x80;
+    tail[filled + 1..].fill(0);
+    if filled + 1 > 56 {
+        compress(&mut h, &tail);
+        tail = [0u8; 64];
+    }
+    tail[56..].copy_from_slice(&len.wrapping_mul(8).to_be_bytes());
+    compress(&mut h, &tail);
+
     let mut out = [0u8; 32];
-    for (i, word) in h.iter().enumerate() {
-        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+    for (bytes, word) in out.chunks_exact_mut(4).zip(h) {
+        bytes.copy_from_slice(&word.to_be_bytes());
     }
     out
+}
+
+/// Compute the SHA-256 digest of a byte slice.
+pub fn sha256(data: &[u8]) -> [u8; 32] {
+    sha256_parts(&[data])
 }
 
 /// Compute HMAC-SHA256(key, message) per RFC 2104.
@@ -96,23 +125,19 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
     } else {
         k[..key.len()].copy_from_slice(key);
     }
-    let mut inner = Vec::with_capacity(BLOCK + message.len());
-    let mut outer = Vec::with_capacity(BLOCK + 32);
-    for &b in &k {
-        inner.push(b ^ 0x36);
-    }
-    inner.extend_from_slice(message);
-    let inner_hash = sha256(&inner);
-    for &b in &k {
-        outer.push(b ^ 0x5c);
-    }
-    outer.extend_from_slice(&inner_hash);
-    sha256(&outer)
+    let inner = sha256_parts(&[&k.map(|b| b ^ 0x36), message]);
+    sha256_parts(&[&k.map(|b| b ^ 0x5c), &inner])
 }
 
 /// Hex-encode bytes (lowercase).
 pub fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(2 * bytes.len());
+    for &b in bytes {
+        out.push(DIGITS[usize::from(b >> 4)] as char);
+        out.push(DIGITS[usize::from(b & 0x0f)] as char);
+    }
+    out
 }
 
 /// A signature tag carried in messages (hex-encoded HMAC-SHA256).
@@ -184,6 +209,136 @@ impl KeyDirectory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The implementation this module shipped before the block-streaming
+    /// one: pad the whole message into a `Vec`, then compress it.
+    fn sha256_reference(data: &[u8]) -> [u8; 32] {
+        // Pad: message || 0x80 || zeros || 64-bit big-endian bit length.
+        let bit_len = (data.len() as u64).wrapping_mul(8);
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&bit_len.to_be_bytes());
+
+        let mut h = H0;
+        let mut w = [0u32; 64];
+        for block in msg.chunks_exact(64) {
+            for (i, word) in w.iter_mut().take(16).enumerate() {
+                *word = u32::from_be_bytes([block[4 * i], block[4 * i + 1], block[4 * i + 2], block[4 * i + 3]]);
+            }
+            for i in 16..64 {
+                let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+                let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+                w[i] = w[i - 16]
+                    .wrapping_add(s0)
+                    .wrapping_add(w[i - 7])
+                    .wrapping_add(s1);
+            }
+            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
+            for i in 0..64 {
+                let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+                let ch = (e & f) ^ ((!e) & g);
+                let t1 = hh
+                    .wrapping_add(s1)
+                    .wrapping_add(ch)
+                    .wrapping_add(K[i])
+                    .wrapping_add(w[i]);
+                let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+                let maj = (a & b) ^ (a & c) ^ (b & c);
+                let t2 = s0.wrapping_add(maj);
+                hh = g;
+                g = f;
+                f = e;
+                e = d.wrapping_add(t1);
+                d = c;
+                c = b;
+                b = a;
+                a = t1.wrapping_add(t2);
+            }
+            h[0] = h[0].wrapping_add(a);
+            h[1] = h[1].wrapping_add(b);
+            h[2] = h[2].wrapping_add(c);
+            h[3] = h[3].wrapping_add(d);
+            h[4] = h[4].wrapping_add(e);
+            h[5] = h[5].wrapping_add(f);
+            h[6] = h[6].wrapping_add(g);
+            h[7] = h[7].wrapping_add(hh);
+        }
+        let mut out = [0u8; 32];
+        for (i, word) in h.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// RFC 2104 by concatenation, over the reference hash.
+    fn hmac_reference(key: &[u8], message: &[u8]) -> [u8; 32] {
+        let mut k = if key.len() > 64 { sha256_reference(key).to_vec() } else { key.to_vec() };
+        k.resize(64, 0);
+        let mut inner: Vec<u8> = k.iter().map(|b| b ^ 0x36).collect();
+        inner.extend_from_slice(message);
+        let mut outer: Vec<u8> = k.iter().map(|b| b ^ 0x5c).collect();
+        outer.extend_from_slice(&sha256_reference(&inner));
+        sha256_reference(&outer)
+    }
+
+    /// Bytes with no period a block boundary could hide behind.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 131 + i / 251) as u8).collect()
+    }
+
+    #[test]
+    fn sha256_matches_reference_at_every_tail_length() {
+        // 0..=300 crosses every `len % 64`, the one- and two-block padding
+        // cases included, with zero to four full blocks in front.
+        let data = pattern(300);
+        for len in 0..=data.len() {
+            assert_eq!(sha256(&data[..len]), sha256_reference(&data[..len]), "len {len}");
+        }
+        let big = pattern((1 << 20) + 1);
+        for len in [(1 << 20) - 1, 1 << 20, (1 << 20) + 1] {
+            assert_eq!(sha256(&big[..len]), sha256_reference(&big[..len]), "len {len}");
+        }
+    }
+
+    #[test]
+    fn sha256_parts_is_sha256_of_the_concatenation() {
+        let data = pattern(200);
+        for cut in 0..=data.len() {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(sha256_parts(&[a, b]), sha256_reference(&data), "cut {cut}");
+        }
+        assert_eq!(sha256_parts(&[]), sha256_reference(b""));
+        assert_eq!(
+            sha256_parts(&[&data[..3], &[], &data[3..70], &data[70..]]),
+            sha256_reference(&data)
+        );
+    }
+
+    #[test]
+    fn hmac_matches_reference_composition() {
+        let message = pattern(130);
+        for key_len in [0usize, 32, 64, 65, 200] {
+            let key: Vec<u8> = pattern(key_len).iter().map(|b| b ^ 0xC3).collect();
+            for len in 0..=message.len() {
+                assert_eq!(
+                    hmac_sha256(&key, &message[..len]),
+                    hmac_reference(&key, &message[..len]),
+                    "key {key_len} message {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hex_matches_format_spelling() {
+        let all: Vec<u8> = (0..=255).collect();
+        let spelled: String = all.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex(&all), spelled);
+        assert_eq!(hex(&[]), "");
+    }
 
     #[test]
     fn sha256_empty_vector() {

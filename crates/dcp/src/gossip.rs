@@ -10,14 +10,24 @@
 //! A periodic anti-entropy tick re-announces the full id set so items
 //! eventually reach nodes that joined late or missed frames. The store is
 //! the node's source of truth; dedup falls out of content-addressed ids.
+//!
+//! The store is **ordered by id**. Whatever the store's iteration order is
+//! reaches the wire in every full-set announce, and from there decides the
+//! order of requests, payloads and item application on every peer — so the
+//! order must be a function of the held set alone, or two runs of one
+//! seeded scenario diverge. A `BTreeMap` makes that structural (there is no
+//! other order to leak), makes [`GossipState::ids`] a plain key walk, and
+//! lets [`GossipState::on_announce`] answer a sorted announce with one
+//! merge sweep instead of a lookup per id.
 
 use crate::messages::{GossipItem, ItemId, Message};
-use std::collections::HashMap;
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::ops::Bound;
 
 /// The gossip item store plus protocol reaction logic.
 #[derive(Debug, Default)]
 pub struct GossipState {
-    items: HashMap<ItemId, GossipItem>,
+    items: BTreeMap<ItemId, GossipItem>,
 }
 
 impl GossipState {
@@ -41,14 +51,10 @@ impl GossipState {
         self.items.contains_key(id)
     }
 
-    /// All held ids, sorted. The order matters: anti-entropy announces ids
-    /// in this order, so requests — and therefore payload application — are
-    /// reproducible run-to-run (the testkit's determinism depends on never
-    /// leaking `HashMap` iteration order onto the wire).
+    /// All held ids, ascending — the store's own order (see the module
+    /// documentation for why announces must go out in it).
     pub fn ids(&self) -> Vec<ItemId> {
-        let mut ids: Vec<ItemId> = self.items.keys().cloned().collect();
-        ids.sort_unstable();
-        ids
+        self.items.keys().cloned().collect()
     }
 
     /// Get an item by id.
@@ -56,7 +62,7 @@ impl GossipState {
         self.items.get(id)
     }
 
-    /// Iterate over held items.
+    /// Iterate over held items, ascending by id.
     pub fn iter(&self) -> impl Iterator<Item = (&ItemId, &GossipItem)> {
         self.items.iter()
     }
@@ -64,18 +70,58 @@ impl GossipState {
     /// Insert a locally originated or received item. Returns `Some(id)` if
     /// the item was new (and should be announced), `None` if duplicate.
     pub fn insert(&mut self, item: GossipItem) -> Option<ItemId> {
-        let id = item.id();
-        if self.items.contains_key(&id) {
-            return None;
+        match self.items.entry(item.id()) {
+            Entry::Occupied(_) => None,
+            Entry::Vacant(slot) => {
+                let id = slot.key().clone();
+                slot.insert(item);
+                Some(id)
+            }
         }
-        self.items.insert(id.clone(), item);
-        Some(id)
     }
 
     /// React to an **announce**: which of the announced ids do we need?
-    /// Returns a request message if any are missing.
+    /// Returns a request message if any are missing — the missing ids in
+    /// announced order, duplicates kept.
+    ///
+    /// One cursor walks the store beside the list. Before each id is
+    /// judged the cursor rests on the first held id `>=` it, so the id is
+    /// held exactly when the cursor is on it. From an ascending list that
+    /// is one step of the cursor per id wherever the list is close to what
+    /// is held (a full-set announce from a converged peer is the store
+    /// itself); where the step falls short, or the list goes backwards, the
+    /// cursor is re-seated by a `range` seek, which is the per-id lookup
+    /// this replaces.
     pub fn on_announce(&self, ids: &[ItemId]) -> Option<Message> {
-        let missing: Vec<ItemId> = ids.iter().filter(|id| !self.contains(id)).cloned().collect();
+        // The held ids `>= id`, ascending.
+        let from = |id: &str| {
+            let at_or_after = (Bound::Included(id), Bound::Unbounded);
+            self.items.range::<str, _>(at_or_after).map(|(k, _)| k.as_str())
+        };
+        let mut held = from("");
+        let mut at = held.next();
+        // The id judged last: `at` is the first held id `>=` it.
+        let mut last = "";
+        let mut missing = Vec::new();
+        for id in ids {
+            let id = id.as_str();
+            if at.is_some_and(|k| k < id) {
+                // `last <= at < id`: forwards. Step, and seek if the step
+                // stopped short.
+                at = held.next();
+                if at.is_some_and(|k| k < id) {
+                    held = from(id);
+                    at = held.next();
+                }
+            } else if id < last {
+                held = from(id);
+                at = held.next();
+            }
+            last = id;
+            if at != Some(id) {
+                missing.push(id.to_string());
+            }
+        }
         if missing.is_empty() {
             None
         } else {
@@ -99,7 +145,9 @@ impl GossipState {
     pub fn on_payload(&mut self, items: Vec<GossipItem>) -> Vec<(ItemId, GossipItem)> {
         let mut fresh = Vec::new();
         for item in items {
-            if let Some(id) = self.insert(item.clone()) {
+            if let Entry::Vacant(slot) = self.items.entry(item.id()) {
+                let id = slot.key().clone();
+                slot.insert(item.clone());
                 fresh.push((id, item));
             }
         }
@@ -188,6 +236,74 @@ mod tests {
         g.insert(order(1)).unwrap();
         let fresh = g.on_payload(vec![order(1), order(2)]);
         assert_eq!(fresh.len(), 1, "only the unseen item is fresh");
+    }
+
+    /// [`GossipState::on_announce`]'s cursor sweep against the filter it
+    /// replaced, element for element, on every list shape the sweep has a
+    /// branch for.
+    #[test]
+    fn on_announce_equals_the_naive_filter() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x0A11_0CE5);
+        let mut shuffled = |mut v: Vec<ItemId>| {
+            for i in (1..v.len()).rev() {
+                v.swap(i, rng.gen_range(0..=i));
+            }
+            v
+        };
+        let mut strangers: Vec<ItemId> = (0..300).map(|seq| order(10_000 + seq).id()).collect();
+        strangers.sort();
+        for size in [0u64, 1, 500] {
+            let mut state = GossipState::new();
+            for seq in 0..size {
+                state.insert(order(seq));
+            }
+            let held = state.ids();
+            assert_eq!(held.len() as u64, size);
+            assert!(held.windows(2).all(|w| w[0] < w[1]), "ids() must be strictly ascending");
+            match state.anti_entropy_announce() {
+                Some(Message::GossipAnnounce { ids }) => assert_eq!(ids, held),
+                None => assert!(held.is_empty()),
+                other => panic!("not an announce: {other:?}"),
+            }
+
+            let mut mixed: Vec<ItemId> = held.iter().chain(&strangers).cloned().collect();
+            mixed.sort();
+            let reversed: Vec<ItemId> = mixed.iter().rev().cloned().collect();
+            let doubled: Vec<ItemId> =
+                mixed.iter().flat_map(|id| [id.clone(), id.clone()]).collect();
+            // Hex ids sort between "" / "!" and "g" / "zz".
+            let mut fenced: Vec<ItemId> = vec!["".into(), "!".into()];
+            fenced.extend(held.iter().cloned());
+            fenced.extend(["g".into(), "zz".into()]);
+            // Held ids far apart, so the single step falls short.
+            let sparse: Vec<ItemId> = mixed.iter().step_by(7).cloned().collect();
+            let lists = [
+                Vec::new(),
+                held.clone(),
+                strangers.clone(),
+                shuffled(mixed.clone()),
+                shuffled(doubled.clone()),
+                shuffled(fenced.clone()),
+                mixed,
+                reversed,
+                doubled,
+                fenced,
+                sparse,
+            ];
+            for (case, list) in lists.iter().enumerate() {
+                let naive: Vec<ItemId> =
+                    list.iter().filter(|id| !state.contains(id)).cloned().collect();
+                let swept = match state.on_announce(list) {
+                    Some(Message::GossipRequest { ids }) => ids,
+                    None => Vec::new(),
+                    other => panic!("not a request: {other:?}"),
+                };
+                assert_eq!(swept, naive, "store of {size}, list {case}");
+            }
+        }
     }
 
     #[test]

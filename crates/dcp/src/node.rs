@@ -7,7 +7,7 @@
 //! * a **dialer task** draining a queue of addresses to (re)connect, each
 //!   dial retrying with capped exponential backoff ([`BackoffConfig`]);
 //! * per connection, a **reader task** (dispatches inbound frames) and a
-//!   **writer task** (drains an unbounded mpsc of outbound messages) over
+//!   **writer task** (drains an unbounded mpsc of outbound frames) over
 //!   the split connection;
 //! * an **anti-entropy task** re-announcing the full item set on a timer;
 //! * shared state ([`GossipState`], [`Ledger`], [`OrderBook`], withdrawal
@@ -18,6 +18,16 @@
 //! [`crate::testkit`]). When a dialed connection drops, the reader task
 //! re-queues the address on the dialer, so nodes ride out peer restarts
 //! and link kills without operator action.
+//!
+//! A peer's outbound queue carries **encoded frames**, not messages:
+//! `queue_frames` encodes a message once and queues the same `Arc<[u8]>`
+//! for every recipient, so a full-set announce to eight peers is one JSON
+//! encoding, not eight, and no `Message` is cloned per peer. Each queue
+//! still receives what it received before, in the same order — the writer
+//! tasks, the links' RNG draws and the `SimNet` event log cannot tell.
+//! It is also where a gossip list too long for one frame
+//! ([`crate::wire::MAX_FRAME_BYTES`]) is cut in halves until the pieces
+//! fit, so the writer task only ever sees frames the codec accepted.
 //!
 //! Shutdown is a `tokio::sync::watch` broadcast: every task selects on it.
 
@@ -30,6 +40,7 @@ use crate::market::{verify_order, OrderBook, Trade};
 use crate::messages::{GossipItem, Message, NodeId, SettlementNote, WithdrawalNotice};
 use crate::poc::{verify_attestation, verify_receipt, Attestation, Scenario};
 use crate::transport::{Connection, Transport};
+use crate::wire;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io;
@@ -122,8 +133,14 @@ impl NodeConfig {
 /// are up.
 const TARGET_DEGREE: usize = 3;
 
+/// One encoded message, shared by every queue it waits in.
+type Frame = Arc<[u8]>;
+
+/// Sending end of a peer's outbound queue.
+type FrameTx = mpsc::UnboundedSender<Frame>;
+
 struct PeerSlot {
-    tx: mpsc::UnboundedSender<Message>,
+    tx: FrameTx,
     /// Ticks since we last heard a frame from this peer.
     silent_ticks: u32,
 }
@@ -137,6 +154,64 @@ struct State {
     book_addr: AddressBook,
     peers: Vec<PeerSlot>,
     rejected: u64,
+}
+
+impl State {
+    /// Queue `msg` for every peer.
+    fn broadcast(&mut self, msg: Message) {
+        self.rejected += queue_frames(self.peers.iter().map(|p| &p.tx), msg);
+    }
+
+    /// Queue `msg` for one peer.
+    fn reply(&mut self, to: &FrameTx, msg: Message) {
+        self.rejected += queue_frames([to], msg);
+    }
+}
+
+/// Encode `msg` once and queue that one frame on every queue in `to`.
+///
+/// A gossip list the codec refuses as over [`wire::MAX_FRAME_BYTES`] goes
+/// out as its two halves instead, each sent the same way; ids and items are
+/// independent, so the receiver cannot tell one long list from several
+/// short ones. Returns how many ids or items were dropped because one alone
+/// does not fit a frame — an oversized message must never reach the writer
+/// task, which could only close the link over it, and the redial would find
+/// the same message waiting.
+fn queue_frames<'a>(to: impl IntoIterator<Item = &'a FrameTx> + Clone, msg: Message) -> u64 {
+    match wire::encode(&msg) {
+        Ok(bytes) => {
+            let frame = Frame::from(bytes);
+            for tx in to {
+                let _ = tx.send(frame.clone());
+            }
+            0
+        }
+        Err(_) => match halves(msg) {
+            Some((head, tail)) => queue_frames(to.clone(), head) + queue_frames(to, tail),
+            None => 1,
+        },
+    }
+}
+
+/// Cut a gossip list of two or more entries in two; `None` for anything
+/// that cannot be made smaller.
+fn halves(msg: Message) -> Option<(Message, Message)> {
+    fn cut<T>(mut list: Vec<T>) -> Option<(Vec<T>, Vec<T>)> {
+        (list.len() > 1).then(|| {
+            let tail = list.split_off(list.len() / 2);
+            (list, tail)
+        })
+    }
+    match msg {
+        Message::GossipAnnounce { ids } => cut(ids)
+            .map(|(a, b)| (Message::GossipAnnounce { ids: a }, Message::GossipAnnounce { ids: b })),
+        Message::GossipRequest { ids } => cut(ids)
+            .map(|(a, b)| (Message::GossipRequest { ids: a }, Message::GossipRequest { ids: b })),
+        Message::GossipPayload { items } => cut(items).map(|(a, b)| {
+            (Message::GossipPayload { items: a }, Message::GossipPayload { items: b })
+        }),
+        _ => None,
+    }
 }
 
 /// The node entry point.
@@ -237,16 +312,14 @@ impl Node {
                                 // Liveness: ping everyone, age the silence
                                 // counters, and drop peers that have said
                                 // nothing for many ticks (a pong resets).
+                                st.broadcast(Message::Ping { nonce: 0 });
                                 for p in st.peers.iter_mut() {
-                                    let _ = p.tx.send(Message::Ping { nonce: 0 });
                                     p.silent_ticks = p.silent_ticks.saturating_add(1);
                                 }
                                 let limit = config2.silence_limit;
                                 st.peers.retain(|p| p.silent_ticks <= limit && !p.tx.is_closed());
                                 if let Some(msg) = st.gossip.anti_entropy_announce() {
-                                    for p in &st.peers {
-                                        let _ = p.tx.send(msg.clone());
-                                    }
+                                    st.broadcast(msg);
                                 }
                                 if config2.advertise {
                                     let addrs: Vec<String> = st
@@ -256,10 +329,7 @@ impl Node {
                                         .map(|a| a.to_string())
                                         .collect();
                                     if !addrs.is_empty() {
-                                        let pex = Message::PeerExchange { addrs };
-                                        for p in &st.peers {
-                                            let _ = p.tx.send(pex.clone());
-                                        }
+                                        st.broadcast(Message::PeerExchange { addrs });
                                     }
                                     let cands = st.book_addr.dial_candidates(TARGET_DEGREE);
                                     for c in &cands {
@@ -406,7 +476,8 @@ impl NodeHandle {
         self.state.lock().withdrawals.clone()
     }
 
-    /// Items rejected by verification (bad signature / failed physics).
+    /// Items rejected by verification (bad signature / failed physics),
+    /// plus ids and items dropped because one alone overflows a frame.
     pub fn rejected_count(&self) -> u64 {
         self.state.lock().rejected
     }
@@ -448,17 +519,18 @@ fn spawn_peer(
     dial_tx: mpsc::UnboundedSender<SocketAddr>,
 ) {
     let (mut reader, mut writer) = conn.into_split();
-    let (tx, mut rx) = mpsc::unbounded_channel::<Message>();
+    let (tx, mut rx) = mpsc::unbounded_channel::<Frame>();
 
     // Register the peer slot and queue the handshake + initial announce.
     {
         let mut st = state.lock();
-        let _ = tx.send(Message::Hello {
+        let hello = Message::Hello {
             node_id: config.node_id.clone(),
             listen_addr: config.advertise.then(|| config.listen.to_string()),
-        });
+        };
+        st.reply(&tx, hello);
         if let Some(announce) = st.gossip.anti_entropy_announce() {
-            let _ = tx.send(announce);
+            st.reply(&tx, announce);
         }
         st.peers.push(PeerSlot { tx: tx.clone(), silent_ticks: 0 });
     }
@@ -470,9 +542,9 @@ fn spawn_peer(
             loop {
                 tokio::select! {
                     _ = shutdown.changed() => break,
-                    msg = rx.recv() => {
-                        let Some(msg) = msg else { break };
-                        if writer.send(&msg).await.is_err() {
+                    frame = rx.recv() => {
+                        let Some(frame) = frame else { break };
+                        if writer.send_frame(frame).await.is_err() {
                             break;
                         }
                     }
@@ -516,7 +588,7 @@ fn spawn_peer(
 }
 
 /// Handle one inbound message. Runs under the state lock; must not await.
-fn dispatch(st: &mut State, config: &NodeConfig, from: &mpsc::UnboundedSender<Message>, msg: Message) {
+fn dispatch(st: &mut State, config: &NodeConfig, from: &FrameTx, msg: Message) {
     if let Some(slot) = st.peers.iter_mut().find(|p| p.tx.same_channel(from)) {
         slot.silent_ticks = 0;
     }
@@ -526,21 +598,19 @@ fn dispatch(st: &mut State, config: &NodeConfig, from: &mpsc::UnboundedSender<Me
                 st.book_addr.learn([addr]);
             }
         }
-        Message::Ping { nonce } => {
-            let _ = from.send(Message::Pong { nonce });
-        }
+        Message::Ping { nonce } => st.reply(from, Message::Pong { nonce }),
         Message::Pong { .. } => {}
         Message::PeerExchange { addrs } => {
             st.book_addr.learn(addrs.iter().filter_map(|a| a.parse().ok()));
         }
         Message::GossipAnnounce { ids } => {
             if let Some(req) = st.gossip.on_announce(&ids) {
-                let _ = from.send(req);
+                st.reply(from, req);
             }
         }
         Message::GossipRequest { ids } => {
             if let Some(payload) = st.gossip.on_request(&ids) {
-                let _ = from.send(payload);
+                st.reply(from, payload);
             }
         }
         Message::GossipPayload { items } => {
@@ -553,12 +623,8 @@ fn dispatch(st: &mut State, config: &NodeConfig, from: &mpsc::UnboundedSender<Me
                 apply_item(st, config, &id, &item);
             }
             // Re-announce the new items to every other peer.
-            let announce = Message::GossipAnnounce { ids };
-            for p in &st.peers {
-                if !p.tx.same_channel(from) {
-                    let _ = p.tx.send(announce.clone());
-                }
-            }
+            let others = st.peers.iter().map(|p| &p.tx).filter(|tx| !tx.same_channel(from));
+            st.rejected += queue_frames(others, Message::GossipAnnounce { ids });
         }
     }
 }
@@ -569,10 +635,7 @@ fn publish_locked(st: &mut State, config: &NodeConfig, item: GossipItem) {
         return; // duplicate
     };
     apply_item(st, config, &id, &item);
-    let announce = Message::GossipAnnounce { ids: vec![id] };
-    for p in &st.peers {
-        let _ = p.tx.send(announce.clone());
-    }
+    st.broadcast(Message::GossipAnnounce { ids: vec![id] });
 }
 
 /// Apply a freshly learned item to the application state (ledger / book /
@@ -630,6 +693,78 @@ fn apply_item(st: &mut State, config: &NodeConfig, id: &str, item: &GossipItem) 
                 st.rejected += 1;
             }
         }
+    }
+}
+
+/// [`queue_frames`] without a network: plain tests on the queues alone.
+#[cfg(test)]
+mod frame_tests {
+    use super::*;
+    use bytes::BytesMut;
+
+    /// Everything queued on `rx`, as `(frame, decoded message)`. Every
+    /// sender must be gone, or this waits for more.
+    fn drain(mut rx: mpsc::UnboundedReceiver<Frame>) -> Vec<(Frame, Message)> {
+        let rt = tokio::runtime::Builder::new_current_thread().build().unwrap();
+        rt.block_on(async {
+            let mut out = Vec::new();
+            while let Some(frame) = rx.recv().await {
+                let msg = wire::decode(&mut BytesMut::from(&frame[..])).unwrap().unwrap();
+                out.push((frame, msg));
+            }
+            out
+        })
+    }
+
+    /// `msg` through [`queue_frames`] to one queue: the dropped count and
+    /// what was queued.
+    fn queued(msg: Message) -> (u64, Vec<Message>) {
+        let (tx, rx) = mpsc::unbounded_channel::<Frame>();
+        let dropped = queue_frames([&tx], msg);
+        drop(tx);
+        (dropped, drain(rx).into_iter().map(|(_, msg)| msg).collect())
+    }
+
+    #[test]
+    fn one_frame_serves_every_queue() {
+        let (txs, rxs): (Vec<_>, Vec<_>) =
+            (0..3).map(|_| mpsc::unbounded_channel::<Frame>()).unzip();
+        let announce = Message::GossipAnnounce { ids: vec!["ab".repeat(32), "cd".repeat(32)] };
+        assert_eq!(queue_frames(&txs, announce.clone()), 0);
+        drop(txs);
+        let got: Vec<_> = rxs.into_iter().map(drain).collect();
+        for queue in &got {
+            assert_eq!(queue.len(), 1, "one message, one frame");
+            assert_eq!(queue[0].1, announce);
+            assert!(Arc::ptr_eq(&queue[0].0, &got[0][0].0), "the frame is shared, not copied");
+        }
+    }
+
+    #[test]
+    fn a_list_over_the_frame_cap_goes_out_in_halves() {
+        // 67 bytes an id: 16 000 of them are just over the 1 MiB cap.
+        let ids: Vec<String> = (0..16_000).map(|i| format!("{i:064x}")).collect();
+        let announce = Message::GossipAnnounce { ids: ids.clone() };
+        assert!(wire::encode(&announce).is_err(), "the list must not fit one frame");
+        let (dropped, frames) = queued(announce);
+        assert_eq!((dropped, frames.len()), (0, 2));
+        let seen: Vec<String> = frames
+            .into_iter()
+            .flat_map(|msg| match msg {
+                Message::GossipAnnounce { ids } => ids,
+                other => panic!("not an announce: {other:?}"),
+            })
+            .collect();
+        assert_eq!(seen, ids, "every id once, in order");
+
+        // One entry that alone overflows a frame is dropped and counted;
+        // its neighbours still go out.
+        let huge = "f".repeat(wire::MAX_FRAME_BYTES);
+        assert_eq!(queued(Message::GossipRequest { ids: vec![huge.clone()] }), (1, vec![]));
+        assert_eq!(
+            queued(Message::GossipRequest { ids: vec![huge, "0".repeat(64)] }),
+            (1, vec![Message::GossipRequest { ids: vec!["0".repeat(64)] }])
+        );
     }
 }
 

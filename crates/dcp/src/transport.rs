@@ -14,9 +14,12 @@
 //!   `tokio::time::pause()` whole protocol scenarios run deterministically
 //!   in milliseconds of real time (see [`crate::testkit`]).
 //!
-//! Messages on a sim link still pass through the [`crate::wire`] codec
-//! (encode on send, decode on delivery), so frame-size limits and
-//! serialization behave exactly as on TCP.
+//! Both transports carry **frames** — the bytes [`wire::encode`] makes,
+//! shared as an `Arc<[u8]>` so that one encoding serves every recipient.
+//! [`ConnWriter::send_frame`] is the one send path: TCP writes the frame to
+//! the socket, a sim link queues it and decodes it on delivery, so
+//! frame-size limits and serialization behave exactly as on TCP.
+//! [`ConnWriter::send`] is `wire::encode` followed by `send_frame`.
 
 use crate::messages::Message;
 use crate::wire;
@@ -29,6 +32,7 @@ use std::io;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
+use tokio::io::AsyncWriteExt;
 use tokio::net::tcp::{OwnedReadHalf, OwnedWriteHalf};
 use tokio::net::{TcpListener, TcpStream};
 use tokio::sync::{mpsc, watch};
@@ -258,16 +262,7 @@ fn link_seed(seed: u64, src: SocketAddr, dst: SocketAddr) -> u64 {
 
 /// Sending half of one directional sim link.
 pub struct SimSender {
-    tx: mpsc::UnboundedSender<Vec<u8>>,
-}
-
-impl SimSender {
-    fn send(&self, msg: &Message) -> io::Result<()> {
-        let bytes = wire::encode(msg)?;
-        self.tx
-            .send(bytes)
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "sim link closed"))
-    }
+    tx: mpsc::UnboundedSender<Arc<[u8]>>,
 }
 
 /// Build one directional link `src -> dst`: an ingress queue, a delivery
@@ -278,7 +273,7 @@ fn sim_link(
     src: SocketAddr,
     dst: SocketAddr,
 ) -> (SimSender, mpsc::UnboundedReceiver<Message>) {
-    let (in_tx, mut in_rx) = mpsc::unbounded_channel::<Vec<u8>>();
+    let (in_tx, mut in_rx) = mpsc::unbounded_channel::<Arc<[u8]>>();
     let (out_tx, out_rx) = mpsc::unbounded_channel::<Message>();
     let (kill_tx, mut kill_rx) = watch::channel(false);
     net.inner.lock().links.push(LinkCtl { src, dst, kill: kill_tx });
@@ -442,11 +437,22 @@ pub enum ConnWriter {
 }
 
 impl ConnWriter {
-    /// Send one message.
+    /// Encode one message and send it.
     pub async fn send(&mut self, msg: &Message) -> io::Result<()> {
+        self.send_frame(wire::encode(msg)?.into()).await
+    }
+
+    /// Send one frame made by [`wire::encode`].
+    pub async fn send_frame(&mut self, frame: Arc<[u8]>) -> io::Result<()> {
         match self {
-            ConnWriter::Tcp(w) => wire::write_frame(w, msg).await,
-            ConnWriter::Sim(tx) => tx.send(msg),
+            ConnWriter::Tcp(w) => {
+                w.write_all(&frame).await?;
+                w.flush().await
+            }
+            ConnWriter::Sim(link) => link
+                .tx
+                .send(frame)
+                .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "sim link closed")),
         }
     }
 }
@@ -489,7 +495,8 @@ mod tests {
             .transport()
             .connect("10.66.0.1:9000".parse().unwrap(), "10.66.9.9:9000".parse().unwrap())
             .await
-            .unwrap_err();
+            .err()
+            .expect("nothing listens there");
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
     }
 

@@ -7,7 +7,7 @@
 use crate::messages::Message;
 use bytes::{Buf, BufMut, BytesMut};
 use std::io;
-use tokio::io::{AsyncRead, AsyncReadExt, AsyncWrite, AsyncWriteExt};
+use tokio::io::{AsyncRead, AsyncReadExt};
 
 /// Maximum frame body size (1 MiB). A gossip payload of ~1000 receipts fits
 /// comfortably; anything larger is a protocol violation.
@@ -49,13 +49,6 @@ pub fn decode(buf: &mut BytesMut) -> io::Result<Option<Message>> {
     let msg = serde_json::from_slice(&body)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     Ok(Some(msg))
-}
-
-/// Write one frame to an async sink.
-pub async fn write_frame<W: AsyncWrite + Unpin>(w: &mut W, msg: &Message) -> io::Result<()> {
-    let frame = encode(msg)?;
-    w.write_all(&frame).await?;
-    w.flush().await
 }
 
 /// Read one frame from an async source. Returns `Ok(None)` on clean EOF at
@@ -130,33 +123,6 @@ mod tests {
         buf.put_slice(body);
         assert!(decode(&mut buf).is_err());
     }
-
-    #[tokio::test]
-    async fn async_roundtrip_over_duplex() {
-        let (mut a, mut b) = tokio::io::duplex(1024);
-        let msg = Message::GossipAnnounce { ids: vec!["deadbeef".into(); 10] };
-        write_frame(&mut a, &msg).await.unwrap();
-        write_frame(&mut a, &Message::Ping { nonce: 1 }).await.unwrap();
-        drop(a);
-        let mut buf = BytesMut::new();
-        assert_eq!(read_frame(&mut b, &mut buf).await.unwrap().unwrap(), msg);
-        assert_eq!(
-            read_frame(&mut b, &mut buf).await.unwrap().unwrap(),
-            Message::Ping { nonce: 1 }
-        );
-        assert!(read_frame(&mut b, &mut buf).await.unwrap().is_none());
-    }
-
-    #[tokio::test]
-    async fn eof_mid_frame_is_error() {
-        let (mut a, mut b) = tokio::io::duplex(1024);
-        let frame = encode(&hello()).unwrap();
-        use tokio::io::AsyncWriteExt;
-        a.write_all(&frame[..frame.len() - 2]).await.unwrap();
-        drop(a);
-        let mut buf = BytesMut::new();
-        assert!(read_frame(&mut b, &mut buf).await.is_err());
-    }
 }
 
 /// Fuzz-style adversarial input tests for [`read_frame`]: the reader faces
@@ -166,7 +132,7 @@ mod tests {
 #[cfg(test)]
 mod read_frame_fuzz {
     use super::*;
-    use crate::messages::NodeId;
+    use crate::messages::{GossipItem, NodeId};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use tokio::io::AsyncWriteExt;
@@ -182,6 +148,47 @@ mod read_frame_fuzz {
         drop(a);
         let mut buf = BytesMut::new();
         read_frame(&mut b, &mut buf).await
+    }
+
+    #[tokio::test]
+    async fn async_roundtrip_over_duplex() {
+        let (mut a, mut b) = tokio::io::duplex(1024);
+        let msg = Message::GossipAnnounce { ids: vec!["deadbeef".into(); 10] };
+        a.write_all(&encode(&msg).unwrap()).await.unwrap();
+        a.write_all(&encode(&Message::Ping { nonce: 1 }).unwrap()).await.unwrap();
+        drop(a);
+        let mut buf = BytesMut::new();
+        assert_eq!(read_frame(&mut b, &mut buf).await.unwrap().unwrap(), msg);
+        assert_eq!(
+            read_frame(&mut b, &mut buf).await.unwrap().unwrap(),
+            Message::Ping { nonce: 1 }
+        );
+        assert!(read_frame(&mut b, &mut buf).await.unwrap().is_none());
+    }
+
+    #[tokio::test]
+    async fn eof_mid_frame_is_error() {
+        let (mut a, mut b) = tokio::io::duplex(1024);
+        let frame = encode(&hello()).unwrap();
+        a.write_all(&frame[..frame.len() - 2]).await.unwrap();
+        drop(a);
+        let mut buf = BytesMut::new();
+        assert!(read_frame(&mut b, &mut buf).await.is_err());
+    }
+
+    #[tokio::test]
+    async fn duplicated_withdrawal_frames_arrive_twice_over_async_reads() {
+        let notice = super::settlement_frame_fuzz::withdrawal();
+        let msg = Message::GossipPayload { items: vec![GossipItem::Withdrawal(notice)] };
+        let frame = encode(&msg).unwrap();
+        let (mut a, mut b) = tokio::io::duplex(64 * 1024);
+        a.write_all(&frame).await.unwrap();
+        a.write_all(&frame).await.unwrap();
+        drop(a);
+        let mut buf = BytesMut::new();
+        assert_eq!(read_frame(&mut b, &mut buf).await.unwrap().unwrap(), msg);
+        assert_eq!(read_frame(&mut b, &mut buf).await.unwrap().unwrap(), msg);
+        assert!(read_frame(&mut b, &mut buf).await.unwrap().is_none());
     }
 
     #[tokio::test]
@@ -319,7 +326,7 @@ mod settlement_frame_fuzz {
         keys
     }
 
-    fn withdrawal() -> WithdrawalNotice {
+    pub(super) fn withdrawal() -> WithdrawalNotice {
         let keys = keys();
         let (party, sat_ids, effective_s) = ("party-1", vec![3u32, 17, 41], 5400.0);
         let bytes = WithdrawalNotice::signing_bytes(party, &sat_ids, effective_s);
@@ -429,21 +436,6 @@ mod settlement_frame_fuzz {
             assert!(decode(&mut buf).unwrap().is_none(), "cut {cut}");
             assert_eq!(buf.len(), cut, "cut {cut} lost residue");
         }
-    }
-
-    #[tokio::test]
-    async fn duplicated_withdrawal_frames_arrive_twice_over_async_reads() {
-        use tokio::io::AsyncWriteExt;
-        let msg = Message::GossipPayload { items: vec![GossipItem::Withdrawal(withdrawal())] };
-        let frame = encode(&msg).unwrap();
-        let (mut a, mut b) = tokio::io::duplex(64 * 1024);
-        a.write_all(&frame).await.unwrap();
-        a.write_all(&frame).await.unwrap();
-        drop(a);
-        let mut buf = BytesMut::new();
-        assert_eq!(read_frame(&mut b, &mut buf).await.unwrap().unwrap(), msg);
-        assert_eq!(read_frame(&mut b, &mut buf).await.unwrap().unwrap(), msg);
-        assert!(read_frame(&mut b, &mut buf).await.unwrap().is_none());
     }
 }
 

@@ -7,10 +7,11 @@
 # into) to <dst> without target/ and .git/, then rewrites the copy so that
 # `cargo build --offline` resolves: every registry dependency is patched
 # onto the API-compatible stand-ins under perf/stubs/, and what has no
-# stand-in (proptest, #[tokio::test], #[tokio::main], the multi-thread
-# runtime, tokio::signal) is cut out of the copy. <src> == <dst> rewrites in
-# place. Idempotent; writes nothing outside <dst>. Never run it with the
-# repository itself as <dst>: the root Cargo.toml must stay registry-based.
+# stand-in (proptest, #[tokio::test] — whole test modules and test targets —
+# #[tokio::main], the multi-thread runtime, tokio::signal) is cut out of the
+# copy. <src> == <dst> rewrites in place. Idempotent; writes nothing outside
+# <dst>. Never run it with the repository itself as <dst>: the root
+# Cargo.toml must stay registry-based.
 set -eu
 
 if [ "$#" -ne 2 ]; then
@@ -72,8 +73,10 @@ def drop_tokio_targets(text, crate_dir):
     return "".join(kept)
 
 
-def strip_proptest_mods(text):
-    """Cut every top-level `#[cfg(test)] mod x { .. use proptest .. }`.
+def strip_test_mods(text):
+    """Cut every top-level `#[cfg(test)] mod x { .. }` that needs `proptest`
+    or `#[tokio::test]`, with the `///` lines above it (rustc rejects a doc
+    comment that documents nothing).
 
     The modules are self-contained and rustfmt-formatted, so one ends at the
     first line that is exactly `}` after its `mod` line.
@@ -83,7 +86,9 @@ def strip_proptest_mods(text):
     while i < len(lines):
         if lines[i].startswith("#[cfg(test)]") and i + 1 < len(lines) and re.match(r"mod \w+ \{", lines[i + 1]):
             end = next(j for j in range(i + 2, len(lines)) if lines[j].rstrip() == "}")
-            if any("proptest" in l for l in lines[i : end + 1]):
+            if any("proptest" in l or "#[tokio::test" in l for l in lines[i : end + 1]):
+                while out and out[-1].startswith("///"):
+                    out.pop()
                 i = end + 1
                 continue
         out.append(lines[i])
@@ -100,7 +105,7 @@ rewrite(root / "Cargo.toml", patch_root)
 for manifest in sorted(root.glob("crates/*/Cargo.toml")):
     rewrite(manifest, lambda t: drop_tokio_targets(drop_proptest_dep(t), manifest.parent))
 for source in sorted(root.glob("crates/*/src/**/*.rs")):
-    rewrite(source, strip_proptest_mods)
+    rewrite(source, strip_test_mods)
 rewrite(root / "crates/cli/src/commands/node.rs", single_thread_node)
 PY
 
