@@ -30,7 +30,7 @@
 
 use crate::ephemeris::EphemerisStore;
 use crate::timegrid::TimeGrid;
-use crate::visibility::SimConfig;
+use crate::visibility::{site_range_sq, SimConfig};
 use orbital::constellation::Satellite;
 use orbital::ground::GroundSite;
 use serde::{Deserialize, Serialize};
@@ -83,6 +83,9 @@ impl CoverageMap {
                 })
             })
             .collect();
+        // The same squared-range screen as the visibility table's kernel:
+        // only a satellite within the cell's slant bound meets the predicate.
+        let range_sq = site_range_sq(store, &sites, config);
         let steps = store.steps();
         let mut covered_steps = vec![0usize; sites.len()];
         let mut positions = vec![orbital::Vec3::ZERO; store.sat_count()];
@@ -91,7 +94,10 @@ impl CoverageMap {
                 *slot = store.position(i, k);
             }
             for (ci, site) in sites.iter().enumerate() {
-                if positions.iter().any(|&pos| site.sees_ecef_sin(pos, sin_mask)) {
+                let covered = positions.iter().any(|&pos| {
+                    (pos - site.ecef).norm_sq() <= range_sq[ci] && site.sees_ecef_sin(pos, sin_mask)
+                });
+                if covered {
                     covered_steps[ci] += 1;
                 }
             }
@@ -195,6 +201,37 @@ mod tests {
         let g = m.global_mean();
         assert!((0.0..=1.0).contains(&g));
         assert!(g > 0.05, "80 satellites at 10 deg mask cover something: {g}");
+    }
+
+    #[test]
+    fn range_screen_changes_no_cell() {
+        // The oracle is the unscreened scan: every cell centre against every
+        // satellite with the predicate alone.
+        let epoch = Epoch::from_ymdhms(2024, 6, 1, 0, 0, 0.0);
+        let spec = ShellSpec { planes: 6, sats_per_plane: 5, ..ShellSpec::starlink_like() };
+        let sats = walker_delta(&spec, epoch);
+        let grid = TimeGrid::new(epoch, 3.0 * 3600.0, 300.0);
+        let (rows, cols) = (9, 12);
+        for mask in [-5.0, 10.0, 25.0, 60.0] {
+            let cfg = SimConfig::default().with_mask_deg(mask);
+            let store = EphemerisStore::build(&sats, &grid, &cfg);
+            let m = CoverageMap::compute_from_store(&store, &cfg, rows, cols);
+            for r in 0..rows {
+                for c in 0..cols {
+                    let lat = 90.0 - 180.0 * (r as f64 + 0.5) / rows as f64;
+                    let lon = -180.0 + 360.0 * (c as f64 + 0.5) / cols as f64;
+                    let site = GroundSite::from_degrees("cell", lat, lon);
+                    let covered = (0..grid.steps)
+                        .filter(|&k| {
+                            (0..sats.len())
+                                .any(|s| site.sees_ecef_sin(store.position(s, k), cfg.sin_mask()))
+                        })
+                        .count();
+                    let want = covered as f64 / grid.steps as f64;
+                    assert_eq!(m.cells[r][c], want, "mask {mask} cell {r},{c}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,17 @@
 //! the coverage map, the routing step kernel, ISL relays — are pure geometry
 //! over the store.
 //!
+//! The build pipeline, per chunk of satellites: one satellite's whole grid
+//! of inertial positions from the propagator's batch entry (for KeplerJ2
+//! [`KeplerJ2::positions_into_with`] on a workspace the chunk keeps, so the
+//! satellites of a plane share one node table and those of a shell one
+//! apsidal table), then one pass that rotates each position to ECEF and
+//! stores it. Earth's rotation does not depend on the satellite, so the
+//! `Mat3::rot_z(gmst)` of every step is computed once per build, not once
+//! per state; the products are the ones `eci_to_ecef` forms. The same pass
+//! records the largest `|r|²` it stores ([`EphemerisStore::max_radius_sq`])
+//! for the consumers' slant-range screens.
+//!
 //! A store comes into existence in exactly two ways: [`EphemerisStore::build`]
 //! propagates a pool, and [`EphemerisStore::select`] copies rows out of a
 //! built one. Satellite rows are independent, so "build the pool, select a
@@ -31,8 +42,8 @@
 use crate::timegrid::TimeGrid;
 use crate::visibility::{PropagatorKind, SimConfig};
 use orbital::constellation::Satellite;
-use orbital::frames::eci_to_ecef;
-use orbital::propagator::{KeplerJ2, Propagator, Sgp4};
+use orbital::math::Mat3;
+use orbital::propagator::{KeplerJ2, KeplerJ2Scratch, Propagator, Sgp4};
 use orbital::Vec3;
 
 /// A columnar table of ECEF positions for a satellite pool over a time grid.
@@ -51,10 +62,12 @@ pub struct EphemerisStore {
     x: Vec<f64>,
     y: Vec<f64>,
     z: Vec<f64>,
+    max_radius_sq: f64,
 }
 
-/// One per-chunk propagation job: a satellite slice plus its x/y/z columns.
-type ChunkJob<'a> = (&'a [Satellite], &'a mut [f64], &'a mut [f64], &'a mut [f64]);
+/// One per-chunk propagation job: a satellite slice, its x/y/z columns and
+/// the largest `|r|²` written into them.
+type ChunkJob<'a> = (&'a [Satellite], &'a mut [f64], &'a mut [f64], &'a mut [f64], f64);
 
 impl EphemerisStore {
     /// Propagate `sats` over `grid` and materialize the columnar table.
@@ -87,26 +100,38 @@ impl EphemerisStore {
                 xs_rest = xr;
                 ys_rest = yr;
                 zs_rest = zr;
-                jobs.push((sat_chunk, xs, ys, zs));
+                jobs.push((sat_chunk, xs, ys, zs, 0.0));
             }
         }
+        // Earth's rotation is the same for every satellite: one matrix per
+        // step for the whole build, the `Mat3` `eci_to_ecef` would make.
+        let rots: Vec<Mat3> = (0..steps).map(|k| Mat3::rot_z(grid.gmst_at(k))).collect();
         let prop_kind = config.propagator;
-        simrt::par_for_each_mut(&mut jobs, threads, |_, (sat_chunk, xs, ys, zs)| {
-            // One scratch ECI buffer per chunk, reused across its satellites.
+        simrt::par_for_each_mut(&mut jobs, threads, |_, (sat_chunk, xs, ys, zs, max_sq)| {
+            // One ECI buffer and one KeplerJ2 workspace per chunk, reused
+            // across its satellites: consecutive satellites of a plane share
+            // the workspace's node table, of a shell its apsidal table.
             let mut eci = vec![Vec3::ZERO; steps];
+            let mut scratch = KeplerJ2Scratch::default();
             for (i, sat) in sat_chunk.iter().enumerate() {
-                propagator_for(sat, prop_kind, |prop| {
-                    prop.positions_into(grid.start, grid.step_s, &mut eci);
-                });
+                match prop_kind {
+                    PropagatorKind::KeplerJ2 => KeplerJ2::from_elements(&sat.elements, sat.epoch)
+                        .positions_into_with(grid.start, grid.step_s, &mut eci, &mut scratch),
+                    PropagatorKind::Sgp4 => Sgp4::from_tle(&sat.to_tle())
+                        .expect("constellation TLEs are near-Earth")
+                        .positions_into(grid.start, grid.step_s, &mut eci),
+                }
                 let row = i * steps;
-                for (k, &p) in eci.iter().enumerate() {
-                    let ecef = eci_to_ecef(p, grid.gmst_at(k));
+                for (k, (&p, rot)) in eci.iter().zip(&rots).enumerate() {
+                    let ecef = rot.mul_vec(p);
                     xs[row + k] = ecef.x;
                     ys[row + k] = ecef.y;
                     zs[row + k] = ecef.z;
+                    *max_sq = max_sq.max(ecef.norm_sq());
                 }
             }
         });
+        let max_radius_sq = jobs.iter().map(|&(.., max_sq)| max_sq).fold(0.0, f64::max);
         EphemerisStore {
             grid: grid.clone(),
             sat_ids: sats.iter().map(|s| s.id).collect(),
@@ -114,7 +139,17 @@ impl EphemerisStore {
             x,
             y,
             z,
+            max_radius_sq,
         }
+    }
+
+    /// An upper bound on `|r|²` over every stored position, km²: the
+    /// largest the build wrote. [`Self::select`] carries the pool's value
+    /// unchanged — its use, the slant-range screen of the visibility
+    /// kernels ([`orbital::ground::SlantBound`]), needs a bound, not the
+    /// maximum.
+    pub fn max_radius_sq(&self) -> f64 {
+        self.max_radius_sq
     }
 
     /// Number of satellites in the store.
@@ -177,19 +212,7 @@ impl EphemerisStore {
             x,
             y,
             z,
-        }
-    }
-}
-
-/// Instantiate the configured propagator for one satellite and hand it to
-/// `f`. (A closure instead of a return value because the two concrete
-/// propagator types have no common owned supertype without boxing.)
-fn propagator_for(sat: &Satellite, kind: PropagatorKind, f: impl FnOnce(&dyn Propagator)) {
-    match kind {
-        PropagatorKind::KeplerJ2 => f(&KeplerJ2::from_elements(&sat.elements, sat.epoch)),
-        PropagatorKind::Sgp4 => {
-            let tle = sat.to_tle();
-            f(&Sgp4::from_tle(&tle).expect("constellation TLEs are near-Earth"))
+            max_radius_sq: self.max_radius_sq,
         }
     }
 }

@@ -8,6 +8,16 @@
 //! builds a throwaway store first. Work is partitioned across threads by
 //! satellite on the shared `simrt` worker pool, whose scoped primitives let
 //! the store and site slices be borrowed without cloning.
+//!
+//! The kernel is all pairs — every (satellite, site, step) — but only about
+//! one pair in a hundred is close enough to be above any mask, and the
+//! exact predicate ([`GroundSite::sees_ecef_sin`]) costs a square root and
+//! a divide. So each pair is first compared, squared distance against
+//! squared bound, with the site's conservative slant range
+//! ([`orbital::ground::SlantBound`], which holds the derivation and the
+//! sweep that tests it); only the survivors reach the predicate, which
+//! alone sets bits. The per-step oracle in `tests/ephemeris_equivalence.rs`
+//! pins the result bit for bit.
 
 use crate::bitset::TimeBitset;
 use crate::ephemeris::EphemerisStore;
@@ -115,11 +125,12 @@ impl VisibilityTable {
         config: &SimConfig,
     ) -> VisibilityTable {
         let sin_mask = config.sin_mask();
+        let range_sq = site_range_sq(store, sites, config);
         let n = indices.len();
         // One task per satellite row on the shared pool; results land in
         // index order, so the table is identical at every thread count.
         let table: Vec<Vec<TimeBitset>> = simrt::par_map_indexed(n, 0, |i| {
-            visibility_row(store, indices[i], sites, sin_mask)
+            visibility_row(store, indices[i], sites, &range_sq, sin_mask)
         });
 
         VisibilityTable {
@@ -171,26 +182,54 @@ impl VisibilityTable {
     }
 }
 
+/// Per site, the square of the largest range at which anything in `store`
+/// can be above the mask ([`orbital::ground::SlantBound`], at the store's
+/// [`EphemerisStore::max_radius_sq`]), km²: what the all-pairs kernels here
+/// and in [`crate::coveragemap`] compare `|p − site|²` against before the
+/// exact predicate.
+pub(crate) fn site_range_sq(
+    store: &EphemerisStore,
+    sites: &[GroundSite],
+    config: &SimConfig,
+) -> Vec<f64> {
+    let r_max_sq = store.max_radius_sq();
+    sites
+        .iter()
+        .map(|site| {
+            let d = site.slant_bound(config.min_elevation_deg).max_range_km(r_max_sq);
+            d * d
+        })
+        .collect()
+}
+
 /// Screen one columnar ephemeris row against every site. Positions are read
 /// straight from the store, so this is pure geometry — no propagator here.
+/// Site-outer over the contiguous row: a squared-distance compare against
+/// `range_sq[site]` discards the ~99 % of pairs too far apart to be above
+/// the mask, and every set bit comes from the predicate itself.
 fn visibility_row(
     store: &EphemerisStore,
     sat: usize,
     sites: &[GroundSite],
+    range_sq: &[f64],
     sin_mask: f64,
 ) -> Vec<TimeBitset> {
     let steps = store.steps();
-    let mut row: Vec<TimeBitset> = (0..sites.len()).map(|_| TimeBitset::zeros(steps)).collect();
     let (xs, ys, zs) = store.row(sat);
-    for k in 0..steps {
-        let ecef = Vec3::new(xs[k], ys[k], zs[k]);
-        for (si, site) in sites.iter().enumerate() {
-            if site.sees_ecef_sin(ecef, sin_mask) {
-                row[si].set(k);
+    sites
+        .iter()
+        .zip(range_sq)
+        .map(|(site, &bound_sq)| {
+            let mut bits = TimeBitset::zeros(steps);
+            for (k, ((&x, &y), &z)) in xs.iter().zip(ys).zip(zs).enumerate() {
+                let ecef = Vec3::new(x, y, z);
+                if (ecef - site.ecef).norm_sq() <= bound_sq && site.sees_ecef_sin(ecef, sin_mask) {
+                    bits.set(k);
+                }
             }
-        }
-    }
-    row
+            bits
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -14,8 +14,9 @@ use leosim::ephemeris::EphemerisStore;
 use leosim::visibility::{PropagatorKind, SimConfig, VisibilityTable};
 use leosim::TimeGrid;
 use orbital::constellation::{walker_delta, Satellite, ShellSpec};
-use orbital::frames::eci_to_ecef;
+use orbital::frames::{eci_to_ecef, Geodetic};
 use orbital::ground::GroundSite;
+use orbital::kepler::ClassicalElements;
 use orbital::propagator::{KeplerJ2, Propagator, Sgp4};
 use orbital::time::Epoch;
 
@@ -133,4 +134,149 @@ fn subset_rows_bit_identical_to_reference_subset() {
     let selected = store.select(&picks);
     let vt2 = VisibilityTable::from_store(&selected, &sites, &cfg);
     assert_tables_identical(&vt2, &reference, "select + from_store");
+}
+
+/// Beyond the circular pool: planes of eccentric, polar and retrograde
+/// orbits in more than one shell, with element epochs of their own.
+fn mixed_pool() -> Vec<Satellite> {
+    let mut sats = Vec::new();
+    // (a km, e, inclination deg, argument of perigee, element epoch offset s)
+    let shells: [(f64, f64, f64, f64, f64); 5] = [
+        (6928.0, 0.0, 53.0, 0.0, 0.0),
+        (6928.0, 1e-13, 97.6, 1.0, 0.0),
+        (7050.0, 0.001, 90.0, 2.0, -5400.0),
+        (7400.0, 0.05, 142.0, 4.0, 0.0),
+        (9000.0, 0.12, 63.4, 4.712, 1800.0),
+    ];
+    for (shell, &(a_km, e, inc_deg, argp, epoch_offset_s)) in shells.iter().enumerate() {
+        for plane in 0..3u32 {
+            for slot in 0..4u32 {
+                let id = sats.len() as u32;
+                sats.push(Satellite {
+                    id,
+                    name: format!("MIX{shell}-P{plane}-S{slot}"),
+                    shell: format!("MIX{shell}"),
+                    plane,
+                    slot,
+                    elements: ClassicalElements {
+                        semi_major_axis_km: a_km,
+                        eccentricity: e,
+                        inclination_rad: inc_deg.to_radians(),
+                        raan_rad: 0.4 + 2.0 * plane as f64,
+                        arg_perigee_rad: argp,
+                        mean_anomaly_rad: 0.2 + 1.5 * slot as f64,
+                    },
+                    epoch: epoch().plus_seconds(epoch_offset_s),
+                });
+            }
+        }
+    }
+    sats
+}
+
+/// Sites where the geodetic zenith leaves the geocentric radial the most
+/// (mid-latitudes), not at all (equator, poles), and one at altitude.
+fn awkward_sites() -> Vec<GroundSite> {
+    vec![
+        GroundSite::from_degrees("North Pole", 90.0, 0.0),
+        GroundSite::from_degrees("South Pole", -90.0, 45.0),
+        GroundSite::from_degrees("Quito", 0.0, -78.5),
+        GroundSite::from_degrees("Bordeaux", 44.84, -0.58),
+        GroundSite::from_degrees("Dunedin", -45.87, 170.5),
+        GroundSite::new("La Rinconada", Geodetic::from_degrees(-14.63, -69.45, 4.0)),
+    ]
+}
+
+fn assert_positions_match_per_step(store: &EphemerisStore, sats: &[Satellite], label: &str) {
+    let grid = &store.grid;
+    let bits = |v: orbital::Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+    for (i, sat) in sats.iter().enumerate() {
+        let prop = KeplerJ2::from_elements(&sat.elements, sat.epoch);
+        for k in 0..grid.steps {
+            let want = eci_to_ecef(prop.position_at(grid.epoch_at(k)), grid.gmst_at(k));
+            assert_eq!(bits(store.position(i, k)), bits(want), "{label}: sat {i} step {k}");
+        }
+    }
+}
+
+#[test]
+fn mixed_pool_positions_bit_identical_on_awkward_grids() {
+    let sats = mixed_pool();
+    let grids = [
+        // Starts before every element epoch and crosses midnight.
+        ("before epoch", TimeGrid::new(epoch().plus_seconds(-3.0 * 3600.0), 6.0 * 3600.0, 90.0)),
+        // Off the minute, across the next midnight.
+        ("off the minute", TimeGrid::new(epoch().plus_seconds(85_000.5), 3000.0, 47.0)),
+        ("one step", TimeGrid::new(epoch().plus_seconds(600.0), 0.0, 60.0)),
+        ("a thousand steps", TimeGrid::new(epoch(), 999.0 * 20.0, 20.0)),
+    ];
+    let cfg = SimConfig::default();
+    for (label, grid) in &grids {
+        for threads in [1usize, 4] {
+            let store =
+                simrt::with_thread_cap(threads, || EphemerisStore::build(&sats, grid, &cfg));
+            assert_positions_match_per_step(&store, &sats, &format!("{label}, {threads} threads"));
+        }
+    }
+    assert_eq!(grids[2].1.steps, 1);
+    assert_eq!(grids[3].1.steps, 1000);
+}
+
+#[test]
+fn max_radius_sq_bounds_every_stored_position() {
+    // The highest shell comes last, so a maximum folded over the first
+    // chunk only is too small.
+    let sats = mixed_pool();
+    let grid = TimeGrid::new(epoch(), 4.0 * 3600.0, 120.0);
+    let largest = |store: &EphemerisStore| {
+        (0..store.sat_count())
+            .flat_map(|s| (0..store.steps()).map(move |k| (s, k)))
+            .map(|(s, k)| store.position(s, k).norm_sq())
+            .fold(0.0f64, f64::max)
+    };
+    for threads in [1usize, 2, 4] {
+        let store = simrt::with_thread_cap(threads, || {
+            EphemerisStore::build(&sats, &grid, &SimConfig::default())
+        });
+        assert_eq!(store.max_radius_sq(), largest(&store), "{threads} threads");
+        assert!(store.max_radius_sq() > 9000.0 * 9000.0, "the eccentric shell's apogee");
+        // A selection keeps the pool's bound, whatever rows it holds.
+        for picks in [vec![0usize, 5, 59], vec![3, 1]] {
+            let sub = store.select(&picks);
+            assert!(sub.max_radius_sq() >= largest(&sub));
+            assert_eq!(sub.max_radius_sq(), store.max_radius_sq());
+        }
+    }
+    let empty = EphemerisStore::build(&[], &grid, &SimConfig::default());
+    assert_eq!(empty.max_radius_sq(), 0.0);
+}
+
+#[test]
+fn range_screen_keeps_every_bit_across_masks_and_sites() {
+    // The squared-range compare in front of the predicate must never drop a
+    // set bit: every mask from below the horizon to the zenith, against the
+    // per-step full-scan oracle, over the whole store, a subset of its rows
+    // and a `select`ed sub-store (which carries the pool's radius bound).
+    let mut sats = mixed_pool();
+    sats.extend(pool());
+    let sites = awkward_sites();
+    let grid = TimeGrid::new(epoch(), 8.0 * 3600.0, 60.0);
+    let picks = [61usize, 0, 37, 93, 12, 50];
+    let picked: Vec<Satellite> = picks.iter().map(|&i| sats[i].clone()).collect();
+    let store = EphemerisStore::build(&sats, &grid, &SimConfig::default());
+    let selected = store.select(&picks);
+    let mut set_bits = 0;
+    for mask in [-5.0, 0.0, 10.0, 25.0, 40.0, 89.0] {
+        let cfg = SimConfig::default().with_mask_deg(mask);
+        let reference = reference_visibility(&sats, &sites, &grid, &cfg);
+        set_bits += reference.iter().flatten().map(|b| b.count_ones()).sum::<usize>();
+        let vt = VisibilityTable::from_store(&store, &sites, &cfg);
+        assert_tables_identical(&vt, &reference, &format!("mask {mask}"));
+        let picked_reference = reference_visibility(&picked, &sites, &grid, &cfg);
+        let subset = VisibilityTable::from_store_subset(&store, &picks, &sites, &cfg);
+        assert_tables_identical(&subset, &picked_reference, &format!("subset, mask {mask}"));
+        let sub = VisibilityTable::from_store(&selected, &sites, &cfg);
+        assert_tables_identical(&sub, &picked_reference, &format!("select, mask {mask}"));
+    }
+    assert!(set_bits > 10_000, "the sweep saw {set_bits} visible samples");
 }

@@ -178,13 +178,28 @@ impl Mat3 {
 }
 
 /// Normalize an angle to the range `[0, 2*pi)`.
+///
+/// `%` on floats is exact, so it is the identity on `(-2*pi, 2*pi)` and the
+/// two ranges most callers pass — an angle already wrapped, or one turn
+/// below — skip its `fmod` call for the same bits.
 pub fn wrap_two_pi(angle: f64) -> f64 {
     let tau = std::f64::consts::TAU;
-    let mut a = angle % tau;
-    if a < 0.0 {
-        a += tau;
+    if (0.0..tau).contains(&angle) {
+        return angle;
     }
-    a
+    let a = if -tau < angle && angle < 0.0 { angle } else { angle % tau };
+    if a < 0.0 {
+        // A negative remainder under half an ulp of tau rounds up to tau
+        // itself, outside the range: that one is zero.
+        let up = a + tau;
+        if up < tau {
+            up
+        } else {
+            0.0
+        }
+    } else {
+        a
+    }
 }
 
 /// Normalize an angle to the range `(-pi, pi]`.
@@ -210,6 +225,7 @@ pub fn rad_to_deg(rad: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
     use std::f64::consts::{FRAC_PI_2, PI, TAU};
 
     #[test]
@@ -271,6 +287,56 @@ mod tests {
         assert!((wrap_two_pi(TAU + 0.25) - 0.25).abs() < 1e-12);
         assert!((wrap_pi(PI + 0.1) - (-PI + 0.1)).abs() < 1e-12);
         assert!((wrap_pi(-PI - 0.1) - (PI - 0.1)).abs() < 1e-12);
+    }
+
+    /// The `%` spelling `wrap_two_pi` had before its fast paths, kept as
+    /// the bit-for-bit reference.
+    fn wrap_two_pi_reference(angle: f64) -> f64 {
+        let tau = TAU;
+        let mut a = angle % tau;
+        if a < 0.0 {
+            a += tau;
+        }
+        a
+    }
+
+    #[test]
+    fn wrap_two_pi_matches_reference_bitwise() {
+        let same = |x: f64| {
+            let (got, want) = (wrap_two_pi(x), wrap_two_pi_reference(x));
+            assert_eq!(got.to_bits(), want.to_bits(), "wrap_two_pi({x:e}): {got:e} vs {want:e}");
+        };
+        let eps = f64::EPSILON;
+        for x in [0.0, TAU, TAU * (1.0 + eps), TAU * (1.0 - eps), 2.0 * TAU, 1e300, PI, 1e-15] {
+            same(x);
+            same(-x);
+        }
+        same(1e-300);
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(wrap_two_pi(x).is_nan() && wrap_two_pi_reference(x).is_nan(), "{x}");
+        }
+        // A seeded sweep across [-100, 100]: both fast paths and the `%`.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(22);
+        for _ in 0..100_000 {
+            same(rng.gen_range(-100.0..100.0));
+        }
+    }
+
+    #[test]
+    fn wrap_two_pi_never_returns_tau() {
+        // Negative inputs under half an ulp of tau: `a % tau + tau` rounds
+        // to tau exactly, outside `[0, 2*pi)`. The reference does that; the
+        // function maps them to zero. (Only inputs above -tau can: below
+        // it a remainder is a whole number of tau's ulps.)
+        for x in [-1e-17, -4.0e-16, -f64::MIN_POSITIVE, -1e-300] {
+            assert_eq!(wrap_two_pi_reference(x), TAU, "{x:e}");
+            assert_eq!(wrap_two_pi(x).to_bits(), 0.0f64.to_bits(), "{x:e}");
+            assert_eq!(wrap_pi(x), 0.0, "{x:e}");
+        }
+        // The nearest input that does not round up keeps its value.
+        let x = -TAU * f64::EPSILON;
+        assert_eq!(wrap_two_pi(x), wrap_two_pi_reference(x));
+        assert!(wrap_two_pi(x) < TAU);
     }
 
     #[test]

@@ -17,10 +17,39 @@
 //! in radius, which moves link elevations by hundredths of a degree — far
 //! below the elevation-mask granularity the coverage experiments use), and
 //! it is several times faster than SGP4.
+//!
+//! ## The batch path
+//!
+//! [`KeplerJ2::positions_into_with`] fills a whole time grid for one
+//! satellite and is what the ephemeris layer spends its time in. It returns
+//! the bits [`Propagator::position_at`] would, step by step — every
+//! expression below is the one [`KeplerJ2::elements_at`] and
+//! [`perifocal_to_eci`] evaluate, in their order — and differs in three
+//! ways only:
+//!
+//! * **Hoisted:** `sin_cos(i)`, the semi-latus rectum and
+//!   `sqrt((1+e)/(1−e))` are per satellite, not per step; the velocity is
+//!   not computed; `cos ν` is read from the one `sin_cos(ν)`.
+//! * **Staged:** the per-step work runs as passes over arrays the length of
+//!   the grid — Δt, then `E/2` (through [`solve_kepler`], so an eccentric
+//!   orbit keeps its Newton loop), then `tan`, then `atan` and the wrap,
+//!   then `sin_cos`, then the PQW→ECI rotation. Fused into one loop the
+//!   libm calls of a step form a dependent chain and the core pays their
+//!   latency; as passes, consecutive iterations are independent and it
+//!   pays their throughput (95 against 52 ns a state for the same
+//!   arithmetic, DESIGN.md "Ephemeris layer").
+//! * **Memoised:** the per-step `(sin, cos)` of the drifting RAAN and of
+//!   the drifting argument of perigee are kept in the caller's
+//!   [`KeplerJ2Scratch`] and recomputed only when the bits of `(angle at
+//!   epoch, drift rate, Δt grid)` differ from the previous call's. The
+//!   satellites of a Walker plane share all three for the node, the
+//!   satellites of a shell for the apsides, so a pool built plane by plane
+//!   computes one node table per plane and one apsidal table per shell;
+//!   any other sequence of calls just misses.
 
 use crate::earth::{EARTH_J2, EARTH_RADIUS_KM};
-use crate::kepler::{perifocal_to_eci, ClassicalElements};
-use crate::math::wrap_two_pi;
+use crate::kepler::{perifocal_to_eci, solve_kepler, ClassicalElements};
+use crate::math::{wrap_two_pi, Vec3};
 use crate::propagator::{Propagator, StateVector};
 use crate::time::Epoch;
 use serde::{Deserialize, Serialize};
@@ -84,6 +113,109 @@ impl KeplerJ2 {
     pub fn raan_drift_deg_per_day(&self) -> f64 {
         self.raan_dot_rad_s.to_degrees() * 86_400.0
     }
+
+    /// [`Propagator::positions_into`] with a caller-held workspace: fills
+    /// `out[k]` with the inertial position at `start + k * step_s` seconds,
+    /// bit for bit what [`Propagator::position_at`] returns there. A
+    /// `scratch` kept across the satellites of a pool saves the allocations
+    /// and shares the node and apsidal tables (module docs); its previous
+    /// contents never reach `out`.
+    pub fn positions_into_with(
+        &self,
+        start: Epoch,
+        step_s: f64,
+        out: &mut [Vec3],
+        scratch: &mut KeplerJ2Scratch,
+    ) {
+        let n = out.len();
+        let KeplerJ2Scratch { dt, node, apsis, u, nu } = scratch;
+        // Δt of every step, compared against the grid the tables were
+        // computed on while it is overwritten.
+        let mut same_grid = dt.len() == n;
+        dt.resize(n, 0.0);
+        for (k, slot) in dt.iter_mut().enumerate() {
+            let t = start.plus_seconds(k as f64 * step_s).seconds_since(&self.epoch);
+            same_grid &= slot.to_bits() == t.to_bits();
+            *slot = t;
+        }
+        let el = &self.elements;
+        node.fill(el.raan_rad, self.raan_dot_rad_s, dt, same_grid);
+        apsis.fill(el.arg_perigee_rad, self.argp_dot_rad_s, dt, same_grid);
+
+        let e = el.eccentricity;
+        let factor = ((1.0 + e) / (1.0 - e)).sqrt();
+        let p = el.semi_major_axis_km * (1.0 - e * e);
+        let (si, ci) = el.inclination_rad.sin_cos();
+
+        u.clear();
+        u.extend(dt.iter().map(|&t| {
+            let m = wrap_two_pi(el.mean_anomaly_rad + self.mean_motion_rad_s * t);
+            solve_kepler(m, e) / 2.0
+        }));
+        for half in u.iter_mut() {
+            *half = factor * half.tan();
+        }
+        for t in u.iter_mut() {
+            *t = wrap_two_pi(2.0 * t.atan());
+        }
+        nu.clear();
+        nu.extend(u.iter().map(|v| v.sin_cos()));
+        for (slot, ((&(snu, cnu), &(so, co)), &(sw, cw))) in
+            out.iter_mut().zip(nu.iter().zip(&node.sin_cos).zip(&apsis.sin_cos))
+        {
+            let r_mag = p / (1.0 + e * cnu);
+            let v = Vec3::new(r_mag * cnu, r_mag * snu, 0.0);
+            // Rotate PQW -> ECI: R3(-RAAN) R1(-i) R3(-argp), the literal
+            // expressions of `perifocal_to_eci`.
+            let x1 = cw * v.x - sw * v.y;
+            let y1 = sw * v.x + cw * v.y;
+            let z1 = v.z;
+            let x2 = x1;
+            let y2 = ci * y1 - si * z1;
+            let z2 = si * y1 + ci * z1;
+            *slot = Vec3::new(co * x2 - so * y2, so * x2 + co * y2, z2);
+        }
+    }
+}
+
+/// The workspace of [`KeplerJ2::positions_into_with`]: the staged passes'
+/// arrays and the two memo tables, all the length of the last grid. What it
+/// holds only ever saves work — a fresh one gives the same positions.
+#[derive(Debug, Default)]
+pub struct KeplerJ2Scratch {
+    /// Seconds from the element epoch to every step of the last call.
+    dt: Vec<f64>,
+    /// The drifting RAAN.
+    node: AngleTable,
+    /// The drifting argument of perigee.
+    apsis: AngleTable,
+    /// `E/2`, then `factor·tan(E/2)`, then the true anomaly `ν`.
+    u: Vec<f64>,
+    /// `(sin ν, cos ν)`.
+    nu: Vec<(f64, f64)>,
+}
+
+/// Per-step `(sin, cos)` of `wrap_two_pi(angle0 + rate · Δt)`, remembered
+/// with the `(angle0, rate)` bits it was computed from.
+#[derive(Debug, Default)]
+struct AngleTable {
+    key: Option<(u64, u64)>,
+    sin_cos: Vec<(f64, f64)>,
+}
+
+impl AngleTable {
+    /// Make the table hold `angle0 + rate · dt[k]` for every step. A hit
+    /// needs the same `(angle0, rate)` bits *and* the Δt grid the table was
+    /// computed on (`same_grid`, from the caller's comparison).
+    fn fill(&mut self, angle0: f64, rate: f64, dt: &[f64], same_grid: bool) {
+        let key = Some((angle0.to_bits(), rate.to_bits()));
+        if same_grid && self.key == key {
+            return;
+        }
+        self.key = key;
+        self.sin_cos.clear();
+        self.sin_cos.extend(dt.iter().map(|&t| wrap_two_pi(angle0 + rate * t).sin_cos()));
+    }
 }
 
 impl Propagator for KeplerJ2 {
@@ -94,6 +226,10 @@ impl Propagator for KeplerJ2 {
 
     fn epoch(&self) -> Epoch {
         self.epoch
+    }
+
+    fn positions_into(&self, start: Epoch, step_s: f64, out: &mut [Vec3]) {
+        self.positions_into_with(start, step_s, out, &mut KeplerJ2Scratch::default());
     }
 }
 

@@ -19,15 +19,10 @@
 //! any stage will query in the step (capped at a few cells a satellite).
 //!
 //! - **Site access** (gateway downlink and terminal uplink) queries that
-//!   grid, pruned by a conservative slant-range bound: a site at geocentric
-//!   radius `R` can only see a satellite at radius `≤ r_max` above
-//!   elevation `e` if their distance is at most
-//!   `sqrt(r_max² − R²·cos²e′) − R·sin e′`, where `e′ = e − 0.25°` pads for
-//!   the deflection between the site's geodetic zenith (what
-//!   [`orbital::frames::sin_elevation`] measures against) and the
-//!   geocentric radial (what the bound is derived from; the deflection is
-//!   at most ~0.192° on WGS84). A non-positive discriminant proves no
-//!   satellite can be visible at all.
+//!   grid, pruned by the conservative slant-range bound of
+//!   [`orbital::ground::SlantBound`] (derivation there) at the step's
+//!   largest satellite radius. A bound of zero proves no satellite can be
+//!   visible at all.
 //! - **ISL hops** go one way: before each hop the available satellites no
 //!   chain has reached yet are re-bucketed into the same cells as a second
 //!   grid, and every frontier member queries *that* within exactly
@@ -64,13 +59,8 @@ use leosim::ephemeris::EphemerisStore;
 use leosim::latency::C_KM_S;
 use leosim::linkbudget::{end_to_end_capacity_bps, PayloadArchitecture, RfLeg};
 use leosim::visibility::SimConfig;
-use orbital::ground::GroundSite;
+use orbital::ground::{GroundSite, SlantBound};
 use orbital::Vec3;
-
-/// Padding subtracted from the elevation mask before deriving the
-/// slant-range bound, degrees: covers the geodetic-vs-geocentric zenith
-/// deflection (max ~0.192° on WGS84) with margin.
-const ZENITH_PAD_DEG: f64 = 0.25;
 
 /// Slack added to ball-query radii when mapping them to grid cells, km.
 /// Absorbs floating-point rounding in the AABB arithmetic; candidacy is
@@ -311,11 +301,9 @@ pub struct StepKernel<'a> {
     gateways: &'a [GroundSite],
     graph: &'a GraphConfig,
     sin_mask: f64,
-    /// Per-terminal `R·sin e′` and `R²·cos²e′` for the slant-range bound.
-    term_k1: Vec<f64>,
-    term_k2: Vec<f64>,
-    gw_k1: Vec<f64>,
-    gw_k2: Vec<f64>,
+    /// Per-site constants of the slant-range bound.
+    term_bound: Vec<SlantBound>,
+    gw_bound: Vec<SlantBound>,
 }
 
 impl<'a> StepKernel<'a> {
@@ -328,23 +316,15 @@ impl<'a> StepKernel<'a> {
         sim: &SimConfig,
         graph: &'a GraphConfig,
     ) -> StepKernel<'a> {
-        let e_pad = (sim.min_elevation_deg - ZENITH_PAD_DEG).max(-90.0).to_radians();
-        let (sin_e, cos_e) = (e_pad.sin(), e_pad.cos());
-        let k1 = |s: &GroundSite| s.ecef.norm() * sin_e;
-        let k2 = |s: &GroundSite| {
-            let rc = s.ecef.norm() * cos_e;
-            rc * rc
-        };
+        let bound = |s: &GroundSite| s.slant_bound(sim.min_elevation_deg);
         StepKernel {
             store,
             terminals,
             gateways,
             graph,
             sin_mask: sim.sin_mask(),
-            term_k1: terminals.iter().map(k1).collect(),
-            term_k2: terminals.iter().map(k2).collect(),
-            gw_k1: gateways.iter().map(k1).collect(),
-            gw_k2: gateways.iter().map(k2).collect(),
+            term_bound: terminals.iter().map(bound).collect(),
+            gw_bound: gateways.iter().map(bound).collect(),
         }
     }
 
@@ -365,9 +345,6 @@ impl<'a> StepKernel<'a> {
         self.store.positions_at_step_into(k, positions);
         let r_max_sq = positions.iter().fold(0.0f64, |acc, p| acc.max(p.norm_sq()));
 
-        // Access bound per site at this step's shell radius: visible ⇒
-        // range ≤ sqrt(r_max² − R²cos²e′) − R·sin e′; negative discriminant
-        // ⇒ nothing can be visible.
         // Conservative squared-radius for the cheap norm² precheck that
         // runs before each exact predicate: the slack absorbs the rounding
         // difference between `norm_sq` and the reference's `distance`.
@@ -375,18 +352,11 @@ impl<'a> StepKernel<'a> {
             let r = r + AABB_SLACK_KM;
             r * r
         };
-        let dmax = |k1: f64, k2: f64| {
-            let disc = r_max_sq - k2;
-            if disc <= 0.0 {
-                0.0
-            } else {
-                disc.sqrt() - k1
-            }
-        };
+        // Access bound per site at this step's shell radius.
         term_dmax.clear();
-        term_dmax.extend(self.term_k1.iter().zip(&self.term_k2).map(|(&k1, &k2)| dmax(k1, k2)));
+        term_dmax.extend(self.term_bound.iter().map(|b| b.max_range_km(r_max_sq)));
         gw_dmax.clear();
-        gw_dmax.extend(self.gw_k1.iter().zip(&self.gw_k2).map(|(&k1, &k2)| dmax(k1, k2)));
+        gw_dmax.extend(self.gw_bound.iter().map(|b| b.max_range_km(r_max_sq)));
 
         let isl_range_km = self.graph.isl_range_km;
         let queried = (self.graph.max_hops > 0).then_some(isl_range_km);
