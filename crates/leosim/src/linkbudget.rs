@@ -54,26 +54,71 @@ impl RfLeg {
         }
     }
 
+    /// The leg with its range-independent terms evaluated; panics unless the
+    /// frequency is positive.
+    pub fn prepared(&self) -> PreparedLeg {
+        assert!(self.frequency_ghz > 0.0);
+        PreparedLeg {
+            eirp_plus_g_over_t_db: self.eirp_dbw + self.g_over_t_db_k,
+            frequency_db: 20.0 * self.frequency_ghz.log10(),
+            bandwidth_db: 10.0 * (self.bandwidth_hz).log10(),
+            losses_db: self.losses_db,
+        }
+    }
+
     /// Carrier-to-noise ratio (linear) across this leg at `range_km`.
     pub fn cn_linear(&self, range_km: f64) -> f64 {
-        let cn_db = self.eirp_dbw + self.g_over_t_db_k - free_space_path_loss_db(range_km, self.frequency_ghz)
-            - BOLTZMANN_DBW
-            - 10.0 * (self.bandwidth_hz).log10()
-            - self.losses_db;
-        10f64.powf(cn_db / 10.0)
+        self.prepared().cn_linear(range_km)
     }
 
     /// Shannon-capacity bound for this leg alone at `range_km`, bit/s.
     pub fn capacity_bps(&self, range_km: f64) -> f64 {
-        self.bandwidth_hz * (1.0 + self.cn_linear(range_km)).log2()
+        shannon_bps(self.bandwidth_hz, self.cn_linear(range_km))
+    }
+}
+
+/// An [`RfLeg`] with everything in its budget that does not depend on the
+/// range evaluated once ([`RfLeg::prepared`]): a caller that prices many
+/// ranges over one leg pays one `log10` and one `powf` a range. The terms
+/// are the ones [`PreparedLeg::cn_linear`] combines, in its order, so the
+/// result is the same `f64` however often the leg was prepared.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PreparedLeg {
+    eirp_plus_g_over_t_db: f64,
+    /// `20 log10(f_GHz)`, the frequency term of the path loss.
+    frequency_db: f64,
+    /// `10 log10(B_Hz)`.
+    bandwidth_db: f64,
+    losses_db: f64,
+}
+
+impl PreparedLeg {
+    /// Carrier-to-noise ratio (linear) across this leg at `range_km`.
+    pub fn cn_linear(&self, range_km: f64) -> f64 {
+        let cn_db = self.eirp_plus_g_over_t_db
+            - path_loss_db(range_km, self.frequency_db)
+            - BOLTZMANN_DBW
+            - self.bandwidth_db
+            - self.losses_db;
+        10f64.powf(cn_db / 10.0)
     }
 }
 
 /// Free-space path loss, dB.
 pub fn free_space_path_loss_db(range_km: f64, frequency_ghz: f64) -> f64 {
-    assert!(range_km > 0.0 && frequency_ghz > 0.0);
-    // FSPL(dB) = 92.45 + 20 log10(d_km) + 20 log10(f_GHz)
-    92.45 + 20.0 * range_km.log10() + 20.0 * frequency_ghz.log10()
+    assert!(frequency_ghz > 0.0);
+    path_loss_db(range_km, 20.0 * frequency_ghz.log10())
+}
+
+/// FSPL(dB) = 92.45 + 20 log10(d_km) + 20 log10(f_GHz), the last term given.
+fn path_loss_db(range_km: f64, frequency_db: f64) -> f64 {
+    assert!(range_km > 0.0);
+    92.45 + 20.0 * range_km.log10() + frequency_db
+}
+
+/// Shannon bound over `bandwidth_hz` at carrier-to-noise `cn` (linear), bit/s.
+pub fn shannon_bps(bandwidth_hz: f64, cn: f64) -> f64 {
+    bandwidth_hz * (1.0 + cn).log2()
 }
 
 /// How the satellite joins the two legs.
@@ -87,6 +132,16 @@ pub enum PayloadArchitecture {
     Regenerative,
 }
 
+impl PayloadArchitecture {
+    /// End-to-end carrier-to-noise (linear) from the two legs' own.
+    pub fn compose_cn(self, up_cn: f64, down_cn: f64) -> f64 {
+        match self {
+            PayloadArchitecture::Transparent => 1.0 / (1.0 / up_cn + 1.0 / down_cn),
+            PayloadArchitecture::Regenerative => up_cn.min(down_cn),
+        }
+    }
+}
+
 /// End-to-end carrier-to-noise (linear) through the bent pipe.
 pub fn end_to_end_cn(
     arch: PayloadArchitecture,
@@ -95,12 +150,7 @@ pub fn end_to_end_cn(
     down: &RfLeg,
     down_range_km: f64,
 ) -> f64 {
-    let cu = up.cn_linear(up_range_km);
-    let cd = down.cn_linear(down_range_km);
-    match arch {
-        PayloadArchitecture::Transparent => 1.0 / (1.0 / cu + 1.0 / cd),
-        PayloadArchitecture::Regenerative => cu.min(cd),
-    }
+    arch.compose_cn(up.cn_linear(up_range_km), down.cn_linear(down_range_km))
 }
 
 /// End-to-end Shannon-bound throughput, bit/s (bandwidth = min of the
@@ -113,8 +163,7 @@ pub fn end_to_end_capacity_bps(
     down_range_km: f64,
 ) -> f64 {
     let bw = up.bandwidth_hz.min(down.bandwidth_hz);
-    let cn = end_to_end_cn(arch, up, up_range_km, down, down_range_km);
-    bw * (1.0 + cn).log2()
+    shannon_bps(bw, end_to_end_cn(arch, up, up_range_km, down, down_range_km))
 }
 
 /// Slant range (km) from a ground site to a satellite at `altitude_km`
@@ -130,6 +179,65 @@ pub fn slant_range_km(altitude_km: f64, elevation_rad: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `RfLeg::cn_linear` as it was spelled before the leg could be
+    /// prepared: every term evaluated per call.
+    fn cn_linear_reference(leg: &RfLeg, range_km: f64) -> f64 {
+        let fspl_db = 92.45 + 20.0 * range_km.log10() + 20.0 * leg.frequency_ghz.log10();
+        let cn_db = leg.eirp_dbw + leg.g_over_t_db_k
+            - fspl_db
+            - BOLTZMANN_DBW
+            - 10.0 * (leg.bandwidth_hz).log10()
+            - leg.losses_db;
+        10f64.powf(cn_db / 10.0)
+    }
+
+    #[test]
+    fn the_prepared_leg_is_the_unprepared_formula_bit_for_bit() {
+        let arbitrary = RfLeg {
+            eirp_dbw: 41.7,
+            g_over_t_db_k: -3.3,
+            frequency_ghz: 28.35,
+            bandwidth_hz: 217.3e6,
+            losses_db: 0.7,
+        };
+        for leg in [RfLeg::ku_user_uplink(), RfLeg::ku_gateway_downlink(), arbitrary] {
+            let prepared = leg.prepared();
+            // 1 km to 50 000 km, log-spaced.
+            for i in 0..=4000 {
+                let range_km = 50_000f64.powf(i as f64 / 4000.0);
+                let want = cn_linear_reference(&leg, range_km).to_bits();
+                assert_eq!(prepared.cn_linear(range_km).to_bits(), want, "{leg:?} at {range_km}");
+                assert_eq!(leg.cn_linear(range_km).to_bits(), want, "{leg:?} at {range_km}");
+                assert_eq!(
+                    free_space_path_loss_db(range_km, leg.frequency_ghz).to_bits(),
+                    (92.45 + 20.0 * range_km.log10() + 20.0 * leg.frequency_ghz.log10()).to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn end_to_end_capacity_keeps_its_bits() {
+        use PayloadArchitecture::{Regenerative, Transparent};
+        // What the function returned before its formula was split into
+        // `compose_cn` and `shannon_bps` (x86-64 glibc).
+        let golden = [
+            (Transparent, 550.0, 550.0, 0x41b8_2247_a85a_241b_u64),
+            (Transparent, 1123.456, 789.25, 0x41b0_a623_7b2b_2cb4),
+            (Transparent, 2600.0, 31.5, 0x41a1_3243_9416_697e),
+            (Transparent, 640.125, 2411.0, 0x41b6_673f_e324_d8f2),
+            (Regenerative, 550.0, 550.0, 0x41b8_24aa_1d88_4514),
+            (Regenerative, 1123.456, 789.25, 0x41b0_a746_8e26_7c0e),
+            (Regenerative, 2600.0, 31.5, 0x41a1_3243_b925_f66c),
+            (Regenerative, 640.125, 2411.0, 0x41b6_888e_10d9_5012),
+        ];
+        let (up, down) = (RfLeg::ku_user_uplink(), RfLeg::ku_gateway_downlink());
+        for (arch, up_km, down_km, bits) in golden {
+            let bps = end_to_end_capacity_bps(arch, &up, up_km, &down, down_km);
+            assert_eq!(bps.to_bits(), bits, "{arch:?} {up_km} {down_km}: {bps}");
+        }
+    }
 
     #[test]
     fn fspl_reference_values() {

@@ -95,9 +95,10 @@ pub fn allocate_step(
 /// 3. a resource's live users are an integer counter, decremented when a
 ///    member freezes, and its member list is walked only when it
 ///    saturates;
-/// 4. a resource with `users` live flows is charged by `left -= delta`
-///    repeated `users` times. `left -= users * delta` rounds differently
-///    and would move every committed digest.
+/// 4. a resource with `users` live flows is charged as if by `left -= delta`
+///    repeated `users` times: `sub_repeated` gives those bits without the
+///    repeats. `left -= users * delta` rounds differently and would move
+///    every committed digest.
 pub fn allocate_step_with(
     scratch: &mut AllocScratch,
     offered: &[f64],
@@ -158,7 +159,8 @@ pub fn allocate_step_with(
         }
         by_cap.push(c);
     }
-    by_cap.sort_unstable_by(|&a, &b| caps[a].total_cmp(&caps[b]));
+    // Every cap here is above `EPS`, so positive: bit order is numeric order.
+    by_cap.sort_unstable_by_key(|&c| caps[c].to_bits());
 
     // A frozen flow keeps the level it froze at and stops using its two
     // resources.
@@ -195,9 +197,11 @@ pub fn allocate_step_with(
         }
         // Apply the increment and charge the shared resources.
         level += delta;
+        let mut saturated = false;
         for (room, &live) in left.iter_mut().zip(users.iter()) {
-            for _ in 0..live {
-                *room -= delta;
+            if live > 0 {
+                *room = sub_repeated(*room, delta, live);
+                saturated |= *room <= EPS;
             }
         }
         // Freeze flows at their individual cap, then flows on a saturated
@@ -214,12 +218,14 @@ pub fn allocate_step_with(
             }
             head += 1;
         }
-        for resource in 0..n_resources {
-            if users[resource] > 0 && left[resource] <= EPS {
-                for &c in &members[resource] {
-                    if active[c] {
-                        freeze(c, level, active, &mut rate, users);
-                        froze = true;
+        if saturated {
+            for resource in 0..n_resources {
+                if users[resource] > 0 && left[resource] <= EPS {
+                    for &c in &members[resource] {
+                        if active[c] {
+                            freeze(c, level, active, &mut rate, users);
+                            froze = true;
+                        }
                     }
                 }
             }
@@ -246,6 +252,73 @@ pub fn allocate_step_with(
         }
     }
     StepAllocation { served_mbps: rate, sat_carried, gateway_carried }
+}
+
+/// `x` after `x -= d` repeated `n` times, bit for bit, in O(1) for every
+/// run of rounds that `x` spends inside one binade.
+///
+/// While a positive normal `x` stays in `[2^e, 2^(e+1))` every value it
+/// takes is an integer multiple `m·u` of `u = ulp(x) = 2^(e-52)`, with `m`
+/// its 53-bit significand. For a positive normal `d` below that binade
+/// `q = d/u` is `d`'s significand shifted right — exact, and under `2^52` —
+/// and the exact difference is `(m - q)·u`. If that is still inside the
+/// binade, rounding it to nearest is rounding `m - q` to an integer:
+///
+/// - `frac(q) != ½`: `fl(x - d) = (m - D)·u` with `D = round(q)`, the same
+///   integer every round, so `n` rounds subtract `n·D` from the significand;
+/// - `frac(q) == ½` (common here: `delta = cap - level` is a cancellation
+///   with few significant bits): ties-to-even lands on an even significand,
+///   so a round takes whichever of `⌊q⌋`, `⌊q⌋ + 1` makes `m` even — from an
+///   even `m` the even one of the two, every time; from an odd `m` the odd
+///   one once, and `m` is even from then on.
+///
+/// Both hold for a round that ends at `m >= 2^52 + 1` (the exact value is
+/// then above `2^52`, inside the binade, where the spacing is `u`), which
+/// is what bounds a jump. The round that would end lower, and any round
+/// whose operands are not as above (`x` zero, negative, subnormal, a power
+/// of two or not finite; `d` not a positive normal below `x`'s binade), is
+/// the literal subtraction, after which the next jump starts from wherever
+/// that left `x`.
+fn sub_repeated(mut x: f64, d: f64, mut n: usize) -> f64 {
+    const IMPLICIT: u64 = 1 << 52;
+    const FRACTION: u64 = IMPLICIT - 1;
+    while n > 0 {
+        let (x_bits, d_bits) = (x.to_bits(), d.to_bits());
+        // Sign and exponent: 1..=2046 is a positive normal.
+        let (x_exp, d_exp) = (x_bits >> 52, d_bits >> 52);
+        // How far the significand can fall and stay above `2^52`.
+        let room = (x_bits & FRACTION).wrapping_sub(1);
+        if x_exp < 2047 && (1..x_exp).contains(&d_exp) && room < FRACTION {
+            let shift = x_exp - d_exp;
+            if shift > 53 {
+                // `q < ½`: every round rounds back to `x`.
+                return x;
+            }
+            let d_sig = (d_bits & FRACTION) | IMPLICIT;
+            let (floor, half) = (d_sig >> shift, 1u64 << (shift - 1));
+            // Selected, not branched on: ties are too common to predict.
+            let rem = d_sig & (2 * half - 1);
+            let tie = rem == half;
+            let even = (floor + 1) & !1;
+            let later = if tie { even } else { floor + (rem > half) as u64 };
+            let first = if tie && x_bits & 1 == 1 { floor | 1 } else { later };
+            // Every round fits (a product that overflows does not).
+            let all = (n as u64 - 1).checked_mul(later).and_then(|t| t.checked_add(first));
+            if let Some(total) = all.filter(|&t| t <= room) {
+                return f64::from_bits(x_bits - total);
+            }
+            if first <= room {
+                // `later > 0`, or every round would have fitted.
+                let rounds = (room - first) / later;
+                x = f64::from_bits(x_bits - first - rounds * later);
+                n -= 1 + rounds as usize;
+            }
+        }
+        // The round that leaves the binade, or one outside the closed form.
+        x -= d;
+        n -= 1;
+    }
+    x
 }
 
 #[cfg(test)]
@@ -407,6 +480,217 @@ mod tests {
         };
         let (sat_cap, gw_cap) = (capacity(), capacity());
         (offered, StepRoutes { routes }, sat_cap, gw_cap)
+    }
+
+    /// What [`sub_repeated`] replaced in the charge pass, and must equal.
+    pub(super) fn sub_literally(mut x: f64, d: f64, n: usize) -> f64 {
+        for _ in 0..n {
+            x -= d;
+        }
+        x
+    }
+
+    /// What the seeded sweep met, classified from the operands and the
+    /// literal loop's result — never from what `sub_repeated` did.
+    #[derive(Debug, Default)]
+    struct Swept {
+        /// No tie, ≥ 2 rounds, the result in `x`'s binade and not `x`.
+        plain_jump: usize,
+        /// `frac(d / ulp(x)) == ½`, by the parity of `x`'s significand.
+        tie_from_even: usize,
+        tie_from_odd: usize,
+        /// The result is positive, in a lower binade than `x`.
+        left_the_binade: usize,
+        /// `x` is a power of two; the result is within two ulps of one.
+        from_the_floor: usize,
+        to_the_floor: usize,
+        /// `x == fl(n·d)` taken down to what `n` rounds leave of it.
+        residue_negative: usize,
+        residue_plus_zero: usize,
+        /// `d == fl(c - l)` of two nearby rates; how many of those tied.
+        coarse: usize,
+        coarse_ties: usize,
+        d_at_least_x: usize,
+        /// `d` so far below `ulp(x)` that no round moves `x`.
+        absorbed: usize,
+        x_not_positive: usize,
+        x_subnormal: usize,
+        d_special: usize,
+        n_zero: usize,
+        n_one: usize,
+        /// `n · round(d / ulp(x))` does not fit a `u64`.
+        product_overflows: usize,
+    }
+
+    fn exponent(x: f64) -> u64 {
+        x.to_bits() >> 52
+    }
+
+    /// `ulp(x)` of a positive normal `x` (well above the subnormals).
+    pub(super) fn ulp(x: f64) -> f64 {
+        f64::from_bits(exponent(x) << 52) * f64::EPSILON
+    }
+
+    #[test]
+    fn sub_repeated_equals_the_literal_loop_on_a_seeded_sweep() {
+        let mut rng = StdRng::seed_from_u64(0x5B_2EA7);
+        let mut seen = Swept::default();
+        // A positive normal anywhere between 2^-900 and 2^900.
+        let wide = |rng: &mut StdRng| rng.gen_range(1.0..2.0) * 2f64.powi(rng.gen_range(-900..900));
+        for i in 0..1_300_000usize {
+            let regime = i % 13;
+            let (x, d, n): (f64, f64, usize) = match regime {
+                // Many rounds inside one binade, here and over the range.
+                0 => {
+                    let x = rng.gen_range(1.0..4000.0);
+                    (x, x * rng.gen_range(1e-12..1e-3), rng.gen_range(2..200))
+                }
+                1 => {
+                    let x = wide(&mut rng);
+                    (x, x * rng.gen_range(1e-18..1e-3), rng.gen_range(2..200))
+                }
+                // An exact tie, from either parity, with ⌊q⌋ of either.
+                2 => {
+                    let x = if i % 2 == 0 { rng.gen_range(1.0..4000.0) } else { wide(&mut rng) };
+                    let bits = rng.gen_range(1..40u32);
+                    let floor = rng.gen_range(0..1u64 << bits);
+                    (x, (floor as f64 + 0.5) * ulp(x), rng.gen_range(1..120))
+                }
+                // Down through several binades, some of it past zero.
+                3 => {
+                    let x = wide(&mut rng);
+                    (x, x * rng.gen_range(0.001..0.3), rng.gen_range(2..60))
+                }
+                // All of `x`, to the residue: a `d` of few bits (exact
+                // products, so `+0`) or of many (a rounding's worth left).
+                4 => {
+                    let k = rng.gen_range(1..400usize);
+                    let d = if rng.gen_bool(0.5) {
+                        rng.gen_range(1..2000) as f64 / 8.0
+                    } else {
+                        rng.gen_range(0.01..150.0)
+                    };
+                    (k as f64 * d, d, k + rng.gen_range(0..2usize))
+                }
+                // The allocator's own operands: room of a satellite or a
+                // gateway, an increment that is a cancellation.
+                5 | 6 => {
+                    let level = rng.gen_range(0.0..150.0);
+                    let cap = level + rng.gen_range(0.0..1.0) * rng.gen_range(0.0..1.0);
+                    let capacity = if regime == 5 { 1800.0 } else { 10_000.0 };
+                    (capacity * rng.gen_range(0.0..1.0), cap - level, rng.gen_range(1..300))
+                }
+                7 => {
+                    let x = wide(&mut rng);
+                    (x, x * rng.gen_range(1.0..8.0), rng.gen_range(1..20))
+                }
+                // `x` zero, negative or subnormal; a subnormal `d`.
+                8 => {
+                    let tiny = |rng: &mut StdRng| f64::from_bits(rng.gen_range(1..1u64 << 52));
+                    let x = match rng.gen_range(0..4) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => -wide(&mut rng),
+                        _ => tiny(&mut rng),
+                    };
+                    let d = if rng.gen_bool(0.5) { tiny(&mut rng) } else { wide(&mut rng) };
+                    (x, d, rng.gen_range(1..40))
+                }
+                9 => {
+                    let specials = [0.0, -0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+                    let x = [wide(&mut rng), rng.gen_range(1.0..4000.0), f64::INFINITY, f64::NAN]
+                        [rng.gen_range(0..4usize)];
+                    (x, specials[rng.gen_range(0..specials.len())], rng.gen_range(1..40))
+                }
+                10 => {
+                    let x = wide(&mut rng);
+                    (x, x * rng.gen_range(1e-17..2.0), rng.gen_range(0..2))
+                }
+                // Onto the binade's floor, or an ulp or two short of or past
+                // it — from the floor itself when that is no way at all —
+                // by steps `D + f` ulps, `f` a multiple of an eighth.
+                11 => {
+                    let floor = 2f64.powi(rng.gen_range(-900..900));
+                    let ulp = floor * f64::EPSILON;
+                    let bits = rng.gen_range(0..40u32);
+                    let step = if i % 4 == 0 { 0 } else { rng.gen_range(0..1u64 << bits) };
+                    let n = rng.gen_range(1..50usize);
+                    let x = floor + (n as u64 * step + rng.gen_range(0..3u64)) as f64 * ulp;
+                    (x, (step as f64 + rng.gen_range(0..8u32) as f64 / 8.0) * ulp, n)
+                }
+                // Rare (each costs its `n` literal rounds): a product that
+                // does not fit. Otherwise a `d` far below `ulp(x)`.
+                _ => {
+                    let x = wide(&mut rng);
+                    if i % 2600 == 12 {
+                        (x, x * rng.gen_range(0.26..0.49), rng.gen_range(1usize << 14..1 << 15))
+                    } else {
+                        (x, x * 2f64.powi(-rng.gen_range(54..200i32)), rng.gen_range(1..1000))
+                    }
+                }
+            };
+            let want = sub_literally(x, d, n);
+            let got = sub_repeated(x, d, n);
+            assert_eq!(got.to_bits(), want.to_bits(), "{x:e} - {d:e} × {n}: {got:e} vs {want:e}");
+
+            seen.n_zero += (n == 0) as usize;
+            seen.n_one += (n == 1) as usize;
+            let x_normal = x > 0.0 && x.is_finite() && exponent(x) > 0;
+            let d_ordinary = d > 0.0 && d.is_finite();
+            seen.x_not_positive += (x <= 0.0) as usize;
+            seen.x_subnormal += (x > 0.0 && exponent(x) == 0) as usize;
+            seen.d_special += !d_ordinary as usize;
+            if !(x_normal && d_ordinary && n > 0) {
+                continue;
+            }
+            seen.d_at_least_x += (d >= x) as usize;
+            // Exact: a division by a power of two, far from the subnormals.
+            let q = d / ulp(x);
+            let tie = q < 2f64.powi(52) && q.fract() == 0.5;
+            if tie && x.to_bits() & 1 == 0 {
+                seen.tie_from_even += 1;
+            } else if tie {
+                seen.tie_from_odd += 1;
+            }
+            let same_binade = exponent(want) == exponent(x);
+            seen.plain_jump += (!tie && n >= 2 && same_binade && want != x) as usize;
+            seen.absorbed += (n >= 2 && q < 0.5 && want == x) as usize;
+            seen.left_the_binade += (want > 0.0 && exponent(want) < exponent(x)) as usize;
+            let fraction = |x: f64| x.to_bits() & ((1 << 52) - 1);
+            seen.from_the_floor += (fraction(x) == 0) as usize;
+            seen.to_the_floor +=
+                (want > 0.0 && (fraction(want) + 2) & ((1 << 52) - 1) < 5) as usize;
+            if regime == 4 {
+                seen.residue_negative += (want < 0.0) as usize;
+                seen.residue_plus_zero += (want.to_bits() == 0) as usize;
+            }
+            if regime == 5 || regime == 6 {
+                seen.coarse += 1;
+                seen.coarse_ties += tie as usize;
+            }
+            seen.product_overflows += (q.round() * n as f64 >= 2f64.powi(64)) as usize;
+        }
+        assert!(
+            seen.plain_jump >= 150_000
+                && seen.tie_from_even >= 30_000
+                && seen.tie_from_odd >= 30_000
+                && seen.left_the_binade >= 50_000
+                && seen.from_the_floor >= 5_000
+                && seen.to_the_floor >= 30_000
+                && seen.residue_negative >= 10_000
+                && seen.residue_plus_zero >= 10_000
+                && seen.coarse >= 150_000
+                && seen.coarse_ties >= 1_000
+                && seen.d_at_least_x >= 50_000
+                && seen.absorbed >= 50_000
+                && seen.x_not_positive >= 50_000
+                && seen.x_subnormal >= 10_000
+                && seen.d_special >= 50_000
+                && seen.n_zero >= 10_000
+                && seen.n_one >= 10_000
+                && seen.product_overflows >= 300,
+            "vacuous: {seen:?}"
+        );
     }
 
     #[test]
@@ -596,7 +880,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::{allocate_step_reference, assert_same_bits};
+    use super::tests::{allocate_step_reference, assert_same_bits, sub_literally, ulp};
     use super::*;
     use crate::graph::{Route, StepRoutes};
     use proptest::prelude::*;
@@ -638,7 +922,28 @@ mod proptests {
         })
     }
 
+    /// `(x, d)` for [`sub_repeated`]: unrelated operands of every class, a
+    /// `d` that is a fraction of `x`, and a `d` of exactly `k + ½` ulps of `x`.
+    fn arb_operands() -> impl Strategy<Value = (f64, f64)> {
+        let wide = || (1.0f64..2.0, -900i32..900).prop_map(|(m, e)| m * 2f64.powi(e));
+        prop_oneof![
+            (prop::num::f64::ANY, prop::num::f64::ANY),
+            (wide(), 1e-17f64..2.0).prop_map(|(x, ratio)| (x, x * ratio)),
+            (wide(), 0u64..1 << 40).prop_map(|(x, k)| (x, (k as f64 + 0.5) * ulp(x))),
+        ]
+    }
+
     proptest! {
+        /// The closed-form charge is the repeated subtraction, bit for bit.
+        #[test]
+        fn sub_repeated_equals_the_literal_loop((x, d) in arb_operands(), n in 0usize..400) {
+            prop_assert_eq!(
+                sub_repeated(x, d, n).to_bits(),
+                sub_literally(x, d, n).to_bits(),
+                "{:e} - {:e} × {}", x, d, n
+            );
+        }
+
         /// The counter-and-level loop is the textbook loop, bit for bit.
         #[test]
         fn equals_the_reference_bit_for_bit((offered, routes, sat_cap, gw_cap) in arb_scenario()) {

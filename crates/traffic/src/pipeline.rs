@@ -57,7 +57,7 @@
 use crate::graph::{Downlink, GraphConfig, Route, StepMask, StepRoutes};
 use leosim::ephemeris::EphemerisStore;
 use leosim::latency::C_KM_S;
-use leosim::linkbudget::{end_to_end_capacity_bps, PayloadArchitecture, RfLeg};
+use leosim::linkbudget::{shannon_bps, PayloadArchitecture, PreparedLeg, RfLeg};
 use leosim::visibility::SimConfig;
 use orbital::ground::{GroundSite, SlantBound};
 use orbital::Vec3;
@@ -304,11 +304,17 @@ pub struct StepKernel<'a> {
     /// Per-site constants of the slant-range bound.
     term_bound: Vec<SlantBound>,
     gw_bound: Vec<SlantBound>,
+    /// The two legs of every route's link budget, and the bandwidth the
+    /// end-to-end rate is taken over (the smaller of theirs).
+    up: PreparedLeg,
+    down: PreparedLeg,
+    bandwidth_hz: f64,
 }
 
 impl<'a> StepKernel<'a> {
-    /// Precompute the step-invariant state: the mask sine and the per-site
-    /// constants of the slant-range pruning bound.
+    /// Precompute the step-invariant state: the mask sine, the per-site
+    /// constants of the slant-range pruning bound, and the link budget's
+    /// range-independent terms.
     pub fn new(
         store: &'a EphemerisStore,
         terminals: &'a [GroundSite],
@@ -317,6 +323,7 @@ impl<'a> StepKernel<'a> {
         graph: &'a GraphConfig,
     ) -> StepKernel<'a> {
         let bound = |s: &GroundSite| s.slant_bound(sim.min_elevation_deg);
+        let (up, down) = (RfLeg::ku_user_uplink(), RfLeg::ku_gateway_downlink());
         StepKernel {
             store,
             terminals,
@@ -325,6 +332,9 @@ impl<'a> StepKernel<'a> {
             sin_mask: sim.sin_mask(),
             term_bound: terminals.iter().map(bound).collect(),
             gw_bound: gateways.iter().map(bound).collect(),
+            up: up.prepared(),
+            down: down.prepared(),
+            bandwidth_hz: up.bandwidth_hz.min(down.bandwidth_hz),
         }
     }
 
@@ -444,9 +454,11 @@ impl<'a> StepKernel<'a> {
         }
 
         // Terminal access: ball query, then the exact reference selection —
-        // lexicographic minimum of (path length, satellite row).
-        let up = RfLeg::ku_user_uplink();
-        let down = RfLeg::ku_gateway_downlink();
+        // lexicographic minimum of (path length, satellite row). The
+        // budget is `end_to_end_capacity_bps` taken apart: its downlink
+        // C/N depends on the winner's chain alone, and a city's terminals
+        // mostly share a winner, so the last one priced is kept.
+        let mut down_cn_at = (f64::NAN, f64::NAN);
         let routes = self
             .terminals
             .iter()
@@ -481,8 +493,11 @@ impl<'a> StepKernel<'a> {
                     } else {
                         PayloadArchitecture::Regenerative
                     };
-                    let per_channel =
-                        end_to_end_capacity_bps(arch, &up, up_range, &down, c.down_range_km);
+                    if down_cn_at.0 != c.down_range_km {
+                        down_cn_at = (c.down_range_km, self.down.cn_linear(c.down_range_km));
+                    }
+                    let cn = arch.compose_cn(self.up.cn_linear(up_range), down_cn_at.1);
+                    let per_channel = shannon_bps(self.bandwidth_hz, cn);
                     Route {
                         sat: s as usize,
                         gateway: c.gateway,
@@ -639,6 +654,69 @@ pub(crate) mod tests {
             &SimConfig::default(),
             &GraphConfig::default(),
             Some(&mask),
+        );
+    }
+
+    /// What the kept downlink C/N is for, and what could break it: 242
+    /// terminals in two clusters, so that runs of consecutive terminals
+    /// share an access satellite and runs end — one cluster around a
+    /// gateway, the other an ISL hop or two from any, so transparent and
+    /// regenerative budgets are priced in the same step.
+    #[test]
+    fn clustered_terminals_sharing_access_satellites_equal_the_reference() {
+        let spec = ShellSpec { planes: 18, sats_per_plane: 14, ..ShellSpec::starlink_like() };
+        let sats = walker_delta(&spec, epoch());
+        let grid = TimeGrid::new(epoch(), 3600.0, 600.0);
+        let sim = SimConfig::default();
+        let store = EphemerisStore::build(&sats, &grid, &sim);
+        // An 11 × 11 lattice, 0.3° apart, around each centre.
+        let cluster = |name: &str, lat: f64, lon: f64| {
+            let name = name.to_string();
+            (0..121).map(move |i| {
+                let (row, col) = ((i / 11) as f64 - 5.0, (i % 11) as f64 - 5.0);
+                GroundSite::from_degrees(format!("{name}{i}"), lat + 0.3 * row, lon + 0.3 * col)
+            })
+        };
+        let (taipei, tonga) = (cluster("Taipei", 25.03, 121.56), cluster("Tonga", -21.13, -175.2));
+        // One cluster after the other, then alternating between them.
+        let by_cluster: Vec<GroundSite> = taipei.clone().chain(tonga.clone()).collect();
+        let alternating: Vec<GroundSite> = taipei.zip(tonga).flat_map(|(a, b)| [a, b]).collect();
+        let gateways = [
+            GroundSite::from_degrees("Kaohsiung-GS", 22.63, 120.30),
+            GroundSite::from_degrees("Sydney-GS", -33.87, 151.21),
+        ];
+        let mut mask = StepMask::nominal(store.sat_count(), gateways.len(), by_cluster.len());
+        for s in (0..store.sat_count()).step_by(4) {
+            mask.sat_ok[s] = false;
+        }
+        for t in (0..by_cluster.len()).step_by(5) {
+            mask.terminal_factor[t] = 0.1 * (t % 11) as f64;
+        }
+        let (mut shared, mut switched, mut transparent, mut regenerative) = (0, 0, 0, 0);
+        for (terminals, max_hops) in
+            [(&by_cluster, 0), (&by_cluster, 2), (&alternating, 0), (&alternating, 2)]
+        {
+            let graph = GraphConfig { max_hops, ..GraphConfig::default() };
+            for mask in [None, Some(&mask)] {
+                check_store_matches_reference(&store, terminals, &gateways, &sim, &graph, mask);
+                let kernel = StepKernel::new(&store, terminals, &gateways, &sim, &graph);
+                for k in 0..store.steps() {
+                    let step = kernel.routes(&mut StepScratch::default(), k, mask);
+                    let routed: Vec<&Route> = step.routes.iter().flatten().collect();
+                    shared += routed.windows(2).filter(|w| w[0].sat == w[1].sat).count();
+                    switched += routed.windows(2).filter(|w| w[0].sat != w[1].sat).count();
+                    let bent = routed.iter().filter(|r| r.hops == 0).count();
+                    if bent > 0 && bent < routed.len() {
+                        transparent += bent;
+                        regenerative += routed.len() - bent;
+                    }
+                }
+            }
+        }
+        assert!(
+            shared >= 2000 && switched >= 1000 && transparent >= 500 && regenerative >= 500,
+            "vacuous: shared {shared} switched {switched}, in steps with both: \
+             transparent {transparent} regenerative {regenerative}"
         );
     }
 
