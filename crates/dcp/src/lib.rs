@@ -28,10 +28,13 @@
 //! * [`ledger`] — the replicated receipt ledger: quorum attestation,
 //!   reward accounting, epoch settlement (idempotent zero-sum batches
 //!   against the party account book), party balances.
-//! * [`gossip`] — the seen-cache and anti-entropy state machine (pure logic,
-//!   unit-testable without sockets).
+//! * [`gossip`] — the item store and anti-entropy state machine (pure
+//!   logic, unit-testable without sockets): an id-ordered store with, beside
+//!   each item, what every peer session has proven it holds, so a periodic
+//!   announce lists only what the peer is not known to hold.
 //! * [`node`] — the async node runtime: listener, per-peer reader/writer
-//!   tasks, periodic anti-entropy, graceful shutdown.
+//!   tasks and gossip sessions, the periodic anti-entropy tick, graceful
+//!   shutdown.
 //! * [`market`] — a capacity order book with price-time priority matching.
 
 #![warn(missing_docs)]

@@ -175,10 +175,12 @@ pub enum Message {
         /// `host:port` strings (invalid entries are ignored by receivers).
         addrs: Vec<String>,
     },
-    /// "I have these items" — sent on new-item arrival and periodically for
-    /// anti-entropy.
+    /// "I have these items" — sent on new-item arrival, as the first
+    /// message of a session (everything held) and on every anti-entropy
+    /// tick (what the receiver has not proven it holds: possibly nothing,
+    /// and the frame is sent all the same).
     GossipAnnounce {
-        /// Item ids the sender holds.
+        /// Item ids the sender holds — not necessarily all of them.
         ids: Vec<ItemId>,
     },
     /// "Send me these items."

@@ -9,7 +9,10 @@
 //! * per connection, a **reader task** (dispatches inbound frames) and a
 //!   **writer task** (drains an unbounded mpsc of outbound frames) over
 //!   the split connection;
-//! * an **anti-entropy task** re-announcing the full item set on a timer;
+//! * an **anti-entropy task** that on a timer pings every peer and
+//!   announces to each the ids that peer is not known to hold (see
+//!   [`crate::gossip`]; an empty list is still sent, so a link carries the
+//!   same kinds of frame at the same times whatever the peer has proven);
 //! * shared state ([`GossipState`], [`Ledger`], [`OrderBook`], withdrawal
 //!   log) behind a `parking_lot::Mutex` — never held across an await.
 //!
@@ -21,10 +24,12 @@
 //!
 //! A peer's outbound queue carries **encoded frames**, not messages:
 //! `queue_frames` encodes a message once and queues the same `Arc<[u8]>`
-//! for every recipient, so a full-set announce to eight peers is one JSON
+//! for every recipient, so a publish announced to eight peers is one JSON
 //! encoding, not eight, and no `Message` is cloned per peer. Each queue
 //! still receives what it received before, in the same order — the writer
 //! tasks, the links' RNG draws and the `SimNet` event log cannot tell.
+//! (The anti-entropy announce is the one message made per peer: its list is
+//! what that peer's session has not proven.)
 //! It is also where a gossip list too long for one frame
 //! ([`crate::wire::MAX_FRAME_BYTES`]) is cut in halves until the pieces
 //! fit, so the writer task only ever sees frames the codec accepted.
@@ -34,7 +39,7 @@
 use crate::control::ReplicatedControl;
 use crate::crypto::KeyDirectory;
 use crate::discovery::AddressBook;
-use crate::gossip::GossipState;
+use crate::gossip::{GossipState, Session};
 use crate::ledger::{Ledger, LedgerConfig, SettlementOutcome};
 use crate::market::{verify_order, OrderBook, Trade};
 use crate::messages::{GossipItem, Message, NodeId, SettlementNote, WithdrawalNotice};
@@ -143,6 +148,11 @@ struct PeerSlot {
     tx: FrameTx,
     /// Ticks since we last heard a frame from this peer.
     silent_ticks: u32,
+    /// This connection's bit in the gossip store's per-item masks, opened
+    /// with the slot and closed wherever the slot is removed
+    /// ([`State::retain_peers`]). Frames are attributed to it only through
+    /// the slot: a reader that outlives its slot has no session.
+    session: Session,
 }
 
 struct State {
@@ -154,9 +164,25 @@ struct State {
     book_addr: AddressBook,
     peers: Vec<PeerSlot>,
     rejected: u64,
+    /// Ids listed in tick announces, and held ids those lists left out.
+    tick_ids: (u64, u64),
 }
 
 impl State {
+    fn new(config: &NodeConfig, local_addr: SocketAddr) -> State {
+        State {
+            gossip: GossipState::new(),
+            ledger: Ledger::new(config.ledger),
+            book: OrderBook::new(),
+            withdrawals: Vec::new(),
+            control: config.control.clone().map(ReplicatedControl::new),
+            book_addr: AddressBook::new(Some(local_addr)),
+            peers: Vec::new(),
+            rejected: 0,
+            tick_ids: (0, 0),
+        }
+    }
+
     /// Queue `msg` for every peer.
     fn broadcast(&mut self, msg: Message) {
         self.rejected += queue_frames(self.peers.iter().map(|p| &p.tx), msg);
@@ -165,6 +191,49 @@ impl State {
     /// Queue `msg` for one peer.
     fn reply(&mut self, to: &FrameTx, msg: Message) {
         self.rejected += queue_frames([to], msg);
+    }
+
+    /// Register a connection whose outbound queue is `tx`: open its
+    /// session and queue the handshake and the session's first announce —
+    /// nothing is known about a new session's peer, so the full id set.
+    fn add_peer(&mut self, config: &NodeConfig, tx: FrameTx) {
+        let hello = Message::Hello {
+            node_id: config.node_id.clone(),
+            listen_addr: config.advertise.then(|| config.listen.to_string()),
+        };
+        self.reply(&tx, hello);
+        let session = self.gossip.open_session();
+        if let Some(announce) = self.gossip.session_announce(session) {
+            self.reply(&tx, announce);
+        }
+        self.peers.push(PeerSlot { tx, silent_ticks: 0, session });
+    }
+
+    /// Remove the peers `keep` refuses, closing their sessions.
+    fn retain_peers(&mut self, keep: impl Fn(&PeerSlot) -> bool) {
+        let State { peers, gossip, .. } = self;
+        peers.retain(|p| {
+            let kept = keep(p);
+            if !kept {
+                gossip.close_session(p.session);
+            }
+            kept
+        });
+    }
+
+    /// The tick's anti-entropy announce, one list per peer in `peers`
+    /// order. A store that holds anything queues a frame for every peer,
+    /// empty list or not.
+    fn announce_tick(&mut self) {
+        let State { peers, gossip, rejected, tick_ids, .. } = self;
+        for peer in peers.iter() {
+            let Some(announce) = gossip.session_announce(peer.session) else { return };
+            if let Message::GossipAnnounce { ids } = &announce {
+                tick_ids.0 += ids.len() as u64;
+                tick_ids.1 += (gossip.len() - ids.len()) as u64;
+            }
+            *rejected += queue_frames([&peer.tx], announce);
+        }
     }
 }
 
@@ -225,16 +294,7 @@ impl Node {
         config.listen = local_addr; // publish the resolved address
         let (shutdown_tx, shutdown_rx) = watch::channel(false);
         let (dial_tx, mut dial_rx) = mpsc::unbounded_channel::<SocketAddr>();
-        let state = Arc::new(Mutex::new(State {
-            gossip: GossipState::new(),
-            ledger: Ledger::new(config.ledger),
-            book: OrderBook::new(),
-            withdrawals: Vec::new(),
-            control: config.control.clone().map(ReplicatedControl::new),
-            book_addr: AddressBook::new(Some(local_addr)),
-            peers: Vec::new(),
-            rejected: 0,
-        }));
+        let state = Arc::new(Mutex::new(State::new(&config, local_addr)));
         let config = Arc::new(config);
 
         // Accept loop.
@@ -317,10 +377,8 @@ impl Node {
                                     p.silent_ticks = p.silent_ticks.saturating_add(1);
                                 }
                                 let limit = config2.silence_limit;
-                                st.peers.retain(|p| p.silent_ticks <= limit && !p.tx.is_closed());
-                                if let Some(msg) = st.gossip.anti_entropy_announce() {
-                                    st.broadcast(msg);
-                                }
+                                st.retain_peers(|p| p.silent_ticks <= limit && !p.tx.is_closed());
+                                st.announce_tick();
                                 if config2.advertise {
                                     let addrs: Vec<String> = st
                                         .book_addr
@@ -482,6 +540,14 @@ impl NodeHandle {
         self.state.lock().rejected
     }
 
+    /// Work done by this node's anti-entropy ticks so far, as `(ids listed
+    /// in tick announces, held ids those lists left out because the peer
+    /// had proven it holds them)`. The two add up to what full-set
+    /// announces would have carried.
+    pub fn tick_announce_ids(&self) -> (u64, u64) {
+        self.state.lock().tick_ids
+    }
+
     /// Number of peer addresses learned via handshake / peer exchange.
     pub fn known_peer_addrs(&self) -> usize {
         self.state.lock().book_addr.known_count()
@@ -522,18 +588,7 @@ fn spawn_peer(
     let (tx, mut rx) = mpsc::unbounded_channel::<Frame>();
 
     // Register the peer slot and queue the handshake + initial announce.
-    {
-        let mut st = state.lock();
-        let hello = Message::Hello {
-            node_id: config.node_id.clone(),
-            listen_addr: config.advertise.then(|| config.listen.to_string()),
-        };
-        st.reply(&tx, hello);
-        if let Some(announce) = st.gossip.anti_entropy_announce() {
-            st.reply(&tx, announce);
-        }
-        st.peers.push(PeerSlot { tx: tx.clone(), silent_ticks: 0 });
-    }
+    state.lock().add_peer(&config, tx.clone());
 
     // Writer task.
     {
@@ -572,7 +627,7 @@ fn spawn_peer(
         // Connection gone: drop our sender so the slot reads as closed.
         {
             let mut st = state.lock();
-            st.peers.retain(|p| !p.tx.same_channel(&tx));
+            st.retain_peers(|p| !p.tx.same_channel(&tx));
             if let Some(addr) = dialed_addr {
                 st.book_addr.mark_disconnected(addr);
             }
@@ -589,8 +644,12 @@ fn spawn_peer(
 
 /// Handle one inbound message. Runs under the state lock; must not await.
 fn dispatch(st: &mut State, config: &NodeConfig, from: &FrameTx, msg: Message) {
+    // A peer evicted for silence may still be talking: it has no slot, so
+    // no session, and what it says proves nothing to whoever took its bit.
+    let mut session = Session::NONE;
     if let Some(slot) = st.peers.iter_mut().find(|p| p.tx.same_channel(from)) {
         slot.silent_ticks = 0;
+        session = slot.session;
     }
     match msg {
         Message::Hello { listen_addr, .. } => {
@@ -604,7 +663,7 @@ fn dispatch(st: &mut State, config: &NodeConfig, from: &FrameTx, msg: Message) {
             st.book_addr.learn(addrs.iter().filter_map(|a| a.parse().ok()));
         }
         Message::GossipAnnounce { ids } => {
-            if let Some(req) = st.gossip.on_announce(&ids) {
+            if let Some(req) = st.gossip.on_announce_from(session, &ids) {
                 st.reply(from, req);
             }
         }
@@ -614,7 +673,7 @@ fn dispatch(st: &mut State, config: &NodeConfig, from: &FrameTx, msg: Message) {
             }
         }
         Message::GossipPayload { items } => {
-            let fresh = st.gossip.on_payload(items);
+            let fresh = st.gossip.on_payload(session, items);
             if fresh.is_empty() {
                 return;
             }
@@ -700,6 +759,7 @@ fn apply_item(st: &mut State, config: &NodeConfig, id: &str, item: &GossipItem) 
 #[cfg(test)]
 mod frame_tests {
     use super::*;
+    use crate::market::make_order;
     use bytes::BytesMut;
 
     /// Everything queued on `rx`, as `(frame, decoded message)`. Every
@@ -765,6 +825,55 @@ mod frame_tests {
             queued(Message::GossipRequest { ids: vec![huge, "0".repeat(64)] }),
             (1, vec![Message::GossipRequest { ids: vec!["0".repeat(64)] }])
         );
+    }
+
+    /// The lists of the announces in `frames`.
+    fn announces(frames: Vec<(Frame, Message)>) -> Vec<Vec<String>> {
+        let lists = frames.into_iter().filter_map(|(_, msg)| match msg {
+            Message::GossipAnnounce { ids } => Some(ids),
+            _ => None,
+        });
+        lists.collect()
+    }
+
+    /// A peer evicted for silence keeps its connection until it closes it,
+    /// and its reader keeps dispatching what it says. By then its session
+    /// bit may be another peer's: the evicted peer's frames must prove
+    /// nothing about that one, while the same frame from the slot's owner
+    /// does.
+    #[test]
+    fn an_evicted_peer_proves_nothing_for_the_next_owner_of_its_bit() {
+        let keys = crate::testkit::test_keys(&["a"]);
+        let config = NodeConfig::local("a", keys.clone());
+        let mut st = State::new(&config, config.listen);
+        for seq in 0..3 {
+            let order = make_order(&keys, "a", true, 1.0, 1, seq).unwrap();
+            publish_locked(&mut st, &config, GossipItem::Order(order));
+        }
+        let all = st.gossip.ids();
+
+        let (evicted_tx, _evicted_rx) = mpsc::unbounded_channel::<Frame>();
+        st.add_peer(&config, evicted_tx.clone());
+        let bit = st.peers[0].session;
+        st.retain_peers(|_| false);
+        let (owner_tx, owner_rx) = mpsc::unbounded_channel::<Frame>();
+        st.add_peer(&config, owner_tx.clone());
+        assert_eq!(st.peers[0].session, bit, "the slot is recycled");
+
+        // The evicted peer's reader is still running.
+        dispatch(&mut st, &config, &evicted_tx, Message::GossipAnnounce { ids: all.clone() });
+        st.announce_tick();
+        st.announce_tick();
+        assert_eq!(st.tick_ids, (6, 0), "the owner is still not known to hold anything");
+        // The owner says the same thing: one acknowledgement, then silence.
+        dispatch(&mut st, &config, &owner_tx, Message::GossipAnnounce { ids: all.clone() });
+        st.announce_tick();
+        st.announce_tick();
+        assert_eq!(st.tick_ids, (9, 3));
+
+        drop((st, evicted_tx, owner_tx));
+        let lists = [all.clone(), all.clone(), all.clone(), all, Vec::new()];
+        assert_eq!(announces(drain(owner_rx)), lists, "the first announce, then the four ticks");
     }
 }
 
